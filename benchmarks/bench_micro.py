@@ -234,13 +234,11 @@ def blocking_engine_results():
         "REPRO_BENCH_BLOCKING_OUT", str(repo_root / "BENCH_blocking.json")
     )
     existing: list[dict] = []
-    existing_executors: list[dict] = []
     try:
         with open(out) as handle:
             previous = json.load(handle)
         if previous.get("benchmark") == "blocking-engines":
             existing = previous.get("scales") or []
-            existing_executors = previous.get("executors") or []
     except (OSError, json.JSONDecodeError):
         pass
     payload = {
@@ -248,8 +246,6 @@ def blocking_engine_results():
         "python_version": platform.python_version(),
         "scales": _merge_scales(existing, results),
     }
-    if existing_executors:
-        payload["executors"] = existing_executors
     with open(out, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -340,145 +336,4 @@ class TestBlockingEngines:
         if scale == BLOCKING_SCALES[-1] and not BLOCKING_QUICK:
             assert speedup >= SPEEDUP_FLOOR_AT_LARGEST, (
                 f"numpy engine only {speedup:.1f}x faster at {scale}"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Pipeline-executor race: serial vs thread vs process shard execution.
-# ---------------------------------------------------------------------------
-
-#: One scale per run; quick mode shrinks it for the CI smoke job. The
-#: scalar engine is raced (per-shard work is pure Python, so processes
-#: can actually parallelize it past the GIL) on a fixed shard count.
-EXECUTOR_RACE_SCALE = (150, 150) if BLOCKING_QUICK else (400, 400)
-EXECUTOR_RACE_SHARDS = 4
-
-
-def _run_block_stage(executor: str, shards: int, rule, left, right):
-    from types import SimpleNamespace
-
-    from repro.pipeline import BlockStage, RunContext
-
-    context = RunContext(
-        config=SimpleNamespace(rule=rule, engine="python"),
-        executor_name=executor,
-        shards=shards,
-    )
-    try:
-        return BlockStage().run(context, left, right)
-    finally:
-        context.close()
-
-
-@pytest.fixture(scope="module")
-def pipeline_executor_results():
-    """Collects executor-race measurements; merges them into the JSON file.
-
-    Shares ``BENCH_blocking.json`` with the engine race above under an
-    ``executors`` section, each fixture preserving the other's section,
-    and appends the same provenance-stamped record to the history file.
-    """
-    results = []
-    yield results
-    if not results:
-        return
-    repo_root = Path(__file__).resolve().parent.parent
-    out = os.environ.get(
-        "REPRO_BENCH_BLOCKING_OUT", str(repo_root / "BENCH_blocking.json")
-    )
-    existing_scales: list[dict] = []
-    existing_executors: list[dict] = []
-    try:
-        with open(out) as handle:
-            previous = json.load(handle)
-        if previous.get("benchmark") == "blocking-engines":
-            existing_scales = previous.get("scales") or []
-            existing_executors = previous.get("executors") or []
-    except (OSError, json.JSONDecodeError):
-        pass
-    payload = {
-        "benchmark": "blocking-engines",
-        "python_version": platform.python_version(),
-        "scales": existing_scales,
-        "executors": _merge_scales(existing_executors, results),
-    }
-    with open(out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    from repro.obs.compare import append_history, history_record
-
-    history_out = os.environ.get(
-        "REPRO_BENCH_HISTORY_OUT", str(repo_root / "BENCH_history.jsonl")
-    )
-    append_history(
-        history_out,
-        history_record(
-            {
-                "benchmark": "blocking-engines",
-                "python_version": platform.python_version(),
-                "executors": results,
-            }
-        ),
-    )
-
-
-class TestPipelineExecutors:
-    def test_executor_race(self, pipeline_executor_results):
-        n_left, n_right = EXECUTOR_RACE_SCALE
-        left = _synthetic_generalized(n_left, seed=100 + n_left)
-        right = _synthetic_generalized(n_right, seed=200 + n_right)
-        rule = _bench_rule()
-        reference = block(rule, left, right, engine="python")
-        timings = {}
-        outputs = {}
-        gc.collect()
-        gc.disable()
-        try:
-            for executor in ("serial", "thread", "process"):
-                best = min(
-                    (
-                        _run_block_stage(
-                            executor, EXECUTOR_RACE_SHARDS, rule, left, right
-                        )
-                        for _ in range(2)
-                    ),
-                    key=lambda result: result.elapsed_seconds,
-                )
-                timings[executor] = {"seconds": best.elapsed_seconds}
-                outputs[executor] = best
-        finally:
-            gc.enable()
-        # Reconciliation invariant: every execution plan is bit-identical
-        # to the plain serial blocking pass.
-        for result in outputs.values():
-            assert result.nonmatch_pairs == reference.nonmatch_pairs
-            assert [
-                (pair.left.sequence, pair.right.sequence)
-                for pair in result.matched
-            ] == [
-                (pair.left.sequence, pair.right.sequence)
-                for pair in reference.matched
-            ]
-            assert len(result.unknown) == len(reference.unknown)
-        process_speedup = timings["serial"]["seconds"] / max(
-            timings["process"]["seconds"], 1e-12
-        )
-        pipeline_executor_results.append(
-            {
-                "left_classes": n_left,
-                "right_classes": n_right,
-                "shards": EXECUTOR_RACE_SHARDS,
-                "cpu_count": os.cpu_count(),
-                "engine": "python",
-                "timings": timings,
-                "process_speedup": process_speedup,
-            }
-        )
-        # A wall-clock win needs real cores; single-CPU runners (and the
-        # noisy quick-mode smoke job) record honest numbers without the
-        # ratio guarantee.
-        if not BLOCKING_QUICK and (os.cpu_count() or 1) >= 2:
-            assert process_speedup > 1.0, (
-                f"process executor slower than serial "
-                f"({process_speedup:.2f}x) with {os.cpu_count()} CPUs"
             )

@@ -1,7 +1,7 @@
 """Deterministic random-number plumbing.
 
 All stochastic components of the library (the synthetic Adult generator, the
-D1/D2 partitioner, randomized selection heuristics, crypto key generation in
+D1/D2 partition builder, randomized selection heuristics, crypto key generation in
 tests) accept either an integer seed or an existing ``random.Random`` /
 ``numpy.random.Generator``. These helpers normalize that input so every
 experiment is reproducible from a single seed.

@@ -65,10 +65,6 @@ class BenchConfig:
     qid_count: int = DEFAULT_QID_COUNT
     #: Blocking/scoring engine for the sweeps ("auto", "python", "numpy").
     engine: str = "auto"
-    #: Shard execution backend ("serial", "thread", "process") and shard
-    #: count for the staged pipeline; every plan is result-identical.
-    executor: str = "serial"
-    shards: int = 1
     #: Telemetry sink shared by every experiment driver. ``None`` means
     #: the no-op default (zero overhead, nothing recorded).
     telemetry: Telemetry | None = field(
@@ -77,11 +73,8 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         from repro.linkage.blocking import validate_engine
-        from repro.pipeline import validate_executor, validate_shards
 
         validate_engine(self.engine)
-        validate_executor(self.executor)
-        validate_shards(self.shards)
 
     def qids(self, count: int | None = None) -> tuple[str, ...]:
         """The paper's top-q QID set."""
@@ -169,47 +162,21 @@ class ExperimentData:
 
         *engine* overrides the config's engine for one sweep point (used
         by the engine-comparison benchmarks); results are cached per
-        engine, though every engine produces identical decisions. When
-        the config asks for more than one shard, blocking routes through
-        the pipeline's :class:`~repro.pipeline.BlockStage` on the
-        configured executor — decisions are unchanged (the pipeline's
-        reconciliation invariant), only the wall clock moves.
+        engine, though every engine produces identical decisions.
         """
-        from types import SimpleNamespace
-
         from repro.linkage.blocking import block
 
         k = self.config.k if k is None else k
         theta = self.config.theta if theta is None else theta
         engine = self.config.engine if engine is None else engine
         qids = self.config.qids(qid_count)
-        key = (
-            k, theta, qids, algorithm, engine,
-            self.config.executor, self.config.shards,
-        )
+        key = (k, theta, qids, algorithm, engine)
         if key not in self._blocking:
             left, right = self.anonymized(k, qid_count, algorithm)
-            rule = self.rule(theta, qid_count)
-            if self.config.shards > 1:
-                from repro.pipeline import BlockStage, RunContext
-
-                context = RunContext(
-                    config=SimpleNamespace(rule=rule, engine=engine),
-                    telemetry=self.telemetry,
-                    executor_name=self.config.executor,
-                    shards=self.config.shards,
-                )
-                try:
-                    self._blocking[key] = BlockStage().run(
-                        context, left, right
-                    )
-                finally:
-                    context.close()
-            else:
-                self._blocking[key] = block(
-                    rule, left, right, engine=engine,
-                    telemetry=self.telemetry,
-                )
+            self._blocking[key] = block(
+                self.rule(theta, qid_count), left, right, engine=engine,
+                telemetry=self.telemetry,
+            )
         return self._blocking[key]
 
     def ground_truth(

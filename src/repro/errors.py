@@ -39,11 +39,11 @@ class ConfigurationError(ReproError):
 class PipelineError(ReproError):
     """A staged pipeline run broke an internal invariant.
 
-    Raised when shard results cannot be reconciled against the global
-    run state — e.g. the SMC stage consumed a different number of record
-    pairs than its budget leases granted. These are library bugs or
-    corrupted executor results, never user configuration mistakes (those
-    raise :class:`ConfigurationError`).
+    Raised when a run's SMC billing cannot be reconciled against its
+    budget — e.g. the oracle or bridge billed a different number of
+    record pairs than the budget leases granted. These are library bugs
+    or a misbehaving SMC backend, never user configuration mistakes
+    (those raise :class:`ConfigurationError`).
     """
 
 

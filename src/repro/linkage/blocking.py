@@ -210,56 +210,6 @@ def _attribute_verdicts(
     return tables
 
 
-def check_rule_covers_qids(
-    rule: MatchRule,
-    left: GeneralizedRelation,
-    right: GeneralizedRelation,
-) -> None:
-    """Raise unless every rule attribute is a QID of both relations."""
-    for name in rule.names:
-        if name not in left.qids or name not in right.qids:
-            raise ConfigurationError(
-                f"rule attribute {name!r} is not a QID of both relations; "
-                f"left={left.qids}, right={right.qids}"
-            )
-
-
-def apply_synthetic_slowdown(span) -> None:
-    """Pad *span* per the ``REPRO_OBS_SYNTHETIC_SLOWDOWN`` hook.
-
-    CI's perf-gate negative control: sleeps until the blocking phase has
-    taken ``slowdown`` times its real duration. Shared by the serial
-    :func:`block` and the pipeline's sharded blocking so the gate's
-    self-test works under every executor.
-    """
-    # Imported per call so ``python -m repro.obs.compare`` never finds
-    # its target pre-imported via ``import repro``; blocking runs once
-    # per phase, so the lookup cost is irrelevant.
-    from repro.obs.compare import synthetic_slowdown
-
-    slowdown = synthetic_slowdown("blocking")
-    if slowdown > 1.0:
-        time.sleep((slowdown - 1.0) * span.duration)
-
-
-def publish_blocking_metrics(
-    telemetry: Telemetry,
-    result: BlockingResult,
-    class_pairs: int,
-    resolved: str,
-) -> None:
-    """Mirror one blocking result into the metrics registry."""
-    if not telemetry.enabled:
-        return
-    telemetry.gauge("blocking.engine").set(resolved)
-    telemetry.counter("blocking.class_pairs").add(class_pairs)
-    telemetry.counter("blocking.matched_class_pairs").add(len(result.matched))
-    telemetry.counter("blocking.unknown_class_pairs").add(len(result.unknown))
-    telemetry.counter("blocking.matched_record_pairs").add(result.matched_pairs)
-    telemetry.counter("blocking.nonmatch_record_pairs").add(result.nonmatch_pairs)
-    telemetry.counter("blocking.unknown_record_pairs").add(result.unknown_pairs)
-
-
 def block(
     rule: MatchRule,
     left: GeneralizedRelation,
@@ -280,12 +230,13 @@ def block(
     *telemetry* records the blocking phase as a span (whose duration
     becomes ``elapsed_seconds``) with a nested kernel span, plus the
     M/N/U pair tallies and the engine choice in the metrics registry.
-
-    This is the single-process evaluator; the staged pipeline
-    (:mod:`repro.pipeline`) shards the same kernels across executors and
-    reconciles to a bit-identical result.
     """
-    check_rule_covers_qids(rule, left, right)
+    for name in rule.names:
+        if name not in left.qids or name not in right.qids:
+            raise ConfigurationError(
+                f"rule attribute {name!r} is not a QID of both relations; "
+                f"left={left.qids}, right={right.qids}"
+            )
     class_pairs = len(left.classes) * len(right.classes)
     resolved = resolve_engine(engine, class_pairs)
     result = BlockingResult(
@@ -301,9 +252,25 @@ def block(
                 _block_numpy(rule, left, right, result, chunk_cells, telemetry)
             else:
                 _block_python(rule, left, right, result, telemetry)
-        apply_synthetic_slowdown(span)
+        # Imported per call so ``python -m repro.obs.compare`` never finds
+        # its target pre-imported via ``import repro``; block() runs once
+        # per blocking phase, so the lookup cost is irrelevant.
+        from repro.obs.compare import synthetic_slowdown
+
+        slowdown = synthetic_slowdown("blocking")
+        if slowdown > 1.0:
+            # CI's perf-gate negative control: pad the blocking span until
+            # the phase has taken ``slowdown`` times its real duration.
+            time.sleep((slowdown - 1.0) * span.duration)
     result.elapsed_seconds = span.duration
-    publish_blocking_metrics(telemetry, result, class_pairs, resolved)
+    if telemetry.enabled:
+        telemetry.gauge("blocking.engine").set(resolved)
+        telemetry.counter("blocking.class_pairs").add(class_pairs)
+        telemetry.counter("blocking.matched_class_pairs").add(len(result.matched))
+        telemetry.counter("blocking.unknown_class_pairs").add(len(result.unknown))
+        telemetry.counter("blocking.matched_record_pairs").add(result.matched_pairs)
+        telemetry.counter("blocking.nonmatch_record_pairs").add(result.nonmatch_pairs)
+        telemetry.counter("blocking.unknown_record_pairs").add(result.unknown_pairs)
     return result
 
 

@@ -45,12 +45,6 @@ class SelectionHeuristic(abc.ABC):
     """Orders unknown class pairs for SMC consumption."""
 
     name: str = "abstract"
-    #: Whether the pipeline may split scoring across shards: requires a
-    #: stateless, picklable ``score``/``score_array`` and an ordering that
-    #: is exactly "sort by (score, size, class positions)". Heuristics
-    #: that override :meth:`order` wholesale (e.g. random shuffling) must
-    #: opt out.
-    shardable: bool = True
 
     def order(
         self,
@@ -216,9 +210,6 @@ class RandomSelection(SelectionHeuristic):
     """Uniformly random order (ablation baseline; required by strategy 3)."""
 
     name = "random"
-    #: The shuffle is sequential RNG consumption; sharding cannot
-    #: reproduce it, so the pipeline always runs this one serially.
-    shardable = False
 
     def __init__(self, seed: int | random.Random | None = None):
         self._rng = make_random(seed)

@@ -42,7 +42,7 @@ from repro.linkage.strategies import (
     SMCObservation,
 )
 from repro.obs import NOOP_TELEMETRY, Telemetry
-from repro.pipeline import Pipeline, compare_class_pair, validate_executor, validate_shards
+from repro.pipeline import Pipeline, compare_class_pair
 
 __all__ = [
     "HybridLinkage",
@@ -84,14 +84,6 @@ class LinkageConfig:
         span and fills the metrics registry (blocking verdict tallies,
         heuristic scoring, SMC and channel costs). Defaults to the
         zero-overhead no-op; telemetry never influences decisions.
-    executor:
-        Shard execution backend: ``"serial"`` (default), ``"thread"``,
-        or ``"process"`` (see :data:`repro.pipeline.EXECUTORS`). Only
-        consulted when ``shards > 1``; every backend produces results
-        bit-identical to the serial path.
-    shards:
-        How many shards the pipeline splits the class-pair space into
-        (default 1, i.e. the classic serial run).
     """
 
     rule: MatchRule
@@ -101,8 +93,6 @@ class LinkageConfig:
     oracle_factory: OracleFactory = CountingPlaintextOracle
     engine: str = "auto"
     telemetry: Telemetry = field(default=NOOP_TELEMETRY, repr=False)
-    executor: str = "serial"
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.allowance <= 1.0:
@@ -110,8 +100,6 @@ class LinkageConfig:
                 f"SMC allowance {self.allowance} must be a fraction in [0, 1]"
             )
         validate_engine(self.engine)
-        validate_executor(self.executor)
-        validate_shards(self.shards)
         if (
             self.strategy.requires_random_selection
             and self.heuristic.name != "random"
@@ -219,10 +207,7 @@ class HybridLinkage:
     """Run the paper's hybrid method end to end.
 
     A thin facade over :class:`repro.pipeline.Pipeline`: every call
-    builds a pipeline from the config (which fixes the executor and
-    shard count alongside the engine) and delegates. Results are
-    bit-identical for every execution plan, so callers can treat this
-    class exactly as before the pipeline existed.
+    builds a pipeline from the config and delegates.
     """
 
     def __init__(self, config: LinkageConfig):

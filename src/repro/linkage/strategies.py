@@ -54,9 +54,6 @@ class LeftoverStrategy(abc.ABC):
     name: str = "abstract"
     #: Strategy 3 needs an unbiased SMC sample to train on.
     requires_random_selection: bool = False
-    #: Whether the strategy scores class pairs (lets the pipeline inject
-    #: a sharded scorer through ``claim_matches``'s *scorer* parameter).
-    uses_scoring: bool = False
 
     @abc.abstractmethod
     def claim_matches(
@@ -68,18 +65,13 @@ class LeftoverStrategy(abc.ABC):
         right: GeneralizedRelation,
         engine: str = "auto",
         telemetry: Telemetry = NOOP_TELEMETRY,
-        *,
-        scorer=None,
     ) -> list[ClassPair]:
         """Return the leftover class pairs to claim (unverified) as matches.
 
         *engine* selects the scoring backend for strategies that rank
         class pairs (see :data:`repro.linkage.blocking.ENGINES`); claims
         are engine-independent. *telemetry* records scoring work for
-        strategies that rank class pairs. *scorer*, when given, replaces
-        :func:`~repro.linkage.heuristics.average_expected_scores` for
-        strategies with :attr:`uses_scoring` — the staged pipeline passes
-        a shard-parallel drop-in that returns bit-identical scores.
+        strategies that rank class pairs.
         """
 
 
@@ -90,7 +82,7 @@ class MaximizePrecision(LeftoverStrategy):
 
     def claim_matches(
         self, leftovers, observations, rule, left, right, engine="auto",
-        telemetry=NOOP_TELEMETRY, *, scorer=None,
+        telemetry=NOOP_TELEMETRY,
     ):
         return []
 
@@ -102,7 +94,7 @@ class MaximizeRecall(LeftoverStrategy):
 
     def claim_matches(
         self, leftovers, observations, rule, left, right, engine="auto",
-        telemetry=NOOP_TELEMETRY, *, scorer=None,
+        telemetry=NOOP_TELEMETRY,
     ):
         return list(leftovers)
 
@@ -124,24 +116,19 @@ class LearnedClassifier(LeftoverStrategy):
 
     name = "learned-classifier"
     requires_random_selection = True
-    uses_scoring = True
 
     def claim_matches(
         self, leftovers, observations, rule, left, right, engine="auto",
-        telemetry=NOOP_TELEMETRY, *, scorer=None,
+        telemetry=NOOP_TELEMETRY,
     ):
         if not observations or not leftovers:
             return []
-        if scorer is None:
-            def scorer(pairs):
-                return average_expected_scores(
-                    pairs, rule, left, right, engine, telemetry
-                )
         trained = [
             observation for observation in observations if observation.compared
         ]
-        training_scores = scorer(
-            [observation.pair for observation in trained]
+        training_scores = average_expected_scores(
+            [observation.pair for observation in trained],
+            rule, left, right, engine, telemetry,
         )
         examples = [  # (score, positives, negatives)
             (
@@ -154,7 +141,9 @@ class LearnedClassifier(LeftoverStrategy):
         threshold = self._best_threshold(examples)
         if threshold is None:
             return []
-        leftover_scores = scorer(list(leftovers))
+        leftover_scores = average_expected_scores(
+            list(leftovers), rule, left, right, engine, telemetry
+        )
         return [
             pair
             for pair, score in zip(leftovers, leftover_scores)

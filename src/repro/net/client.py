@@ -420,8 +420,6 @@ class QueryingPartyClient:
         allowance: float = 0.015,
         heuristic: SelectionHeuristic | None = None,
         claim_leftovers: bool = False,
-        executor: str = "serial",
-        shards: int = 1,
         batch_size: int = DEFAULT_BATCH_SIZE,
         timeout: float = DEFAULT_TIMEOUT,
         telemetry: Telemetry = NOOP_TELEMETRY,
@@ -433,11 +431,6 @@ class QueryingPartyClient:
         self.allowance = allowance
         self.heuristic = heuristic
         self.claim_leftovers = claim_leftovers
-        #: Execution plan forwarded to :class:`repro.protocol.QueryingParty`
-        #: — shard-parallel blocking, and shards mapped onto SMC session
-        #: batches. The remote outcome is identical for every plan.
-        self.executor = executor
-        self.shards = shards
         self.batch_size = batch_size
         self.timeout = timeout
         self.telemetry = telemetry
@@ -480,8 +473,6 @@ class QueryingPartyClient:
                     allowance=self.allowance,
                     heuristic=self.heuristic,
                     claim_leftovers=self.claim_leftovers,
-                    executor=self.executor,
-                    shards=self.shards,
                 )
                 with self.telemetry.span("net.smc", session=bridge.session_id):
                     outcome = party.link(left_view, right_view, bridge)

@@ -183,14 +183,6 @@ def _bench_metrics(document: dict) -> dict[str, Metric]:
         metrics[f"{key}.speedup"] = Metric(
             scale["speedup"], higher_is_better=True
         )
-    for race in document.get("executors") or []:
-        key = f"pipeline.{race['left_classes']}x{race['right_classes']}"
-        for name, timing in (race.get("timings") or {}).items():
-            metrics[f"{key}.{name}.seconds"] = Metric(timing["seconds"])
-        if "process_speedup" in race:
-            metrics[f"{key}.process_speedup"] = Metric(
-                race["process_speedup"], higher_is_better=True
-            )
     return metrics
 
 

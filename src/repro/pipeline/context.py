@@ -1,35 +1,47 @@
-"""Shared state for one pipeline run.
+"""Shared state for one pipeline run, and the SMC budget rule.
 
 The :class:`RunContext` is the one object every stage receives: the
-linkage configuration, the telemetry sink, the resolved execution plan
-(executor + shard count) and the run's budget accounting. It owns the
-executor's lifecycle — backends are built lazily on first use and closed
-by the :class:`~repro.pipeline.runner.Pipeline` in a ``finally`` — so
-stages never manage pools themselves.
+linkage configuration, the telemetry sink and the run's budget ledger.
 
-The :class:`BudgetLedger` turns the SMC allowance into auditable data:
-the planner records every lease it grants, shards report what they
-billed, and :meth:`BudgetLedger.reconcile` cross-checks the two against
-the global allowance. A mismatch is a :class:`~repro.errors.PipelineError`
-— a library bug or a corrupted shard result, never user error — and it
-is how the pipeline guarantees a sharded run can never silently spend a
-different number of oracle invocations than the serial path.
+The SMC allowance is spent by one rule, shared by the
+:class:`~repro.pipeline.stages.SMCStage` and
+:class:`repro.protocol.QueryingParty`: :func:`plan_leases` turns the
+allowance into per-class-pair takes over the ordered unknown list, the
+takes are granted to a :class:`BudgetLedger`, the oracle (or bridge)
+invocations billed during the run are recorded against them, and
+:meth:`BudgetLedger.reconcile` cross-checks the two. A mismatch is a
+:class:`~repro.errors.PipelineError` — a library bug or a misbehaving
+backend, never user error.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import PipelineError
 from repro.obs import NOOP_TELEMETRY, Telemetry
 
-from .executors import (
-    Executor,
-    resolve_executor,
-    validate_executor,
-    validate_shards,
-)
-from .partition import Partitioner
+
+def plan_leases(
+    sized_items: Iterable[int], budget: int
+) -> tuple[list[int], int]:
+    """Greedy prefix budget leases over item sizes.
+
+    Returns ``(takes, consumed)`` where ``takes[i] = min(remaining,
+    sized_items[i])`` stops as soon as the budget is exhausted —
+    ``len(takes)`` items received a (possibly partial, only ever the
+    last) lease and the rest received nothing.
+    """
+    takes: list[int] = []
+    remaining = budget
+    for size in sized_items:
+        if remaining <= 0:
+            break
+        take = min(remaining, size)
+        takes.append(take)
+        remaining -= take
+    return takes, budget - remaining
 
 
 @dataclass
@@ -39,7 +51,7 @@ class BudgetLedger:
     ``allowance_pairs`` is the global grant; ``leases`` the per-class-pair
     record-pair takes in consumption order (a prefix of the ordered
     unknown list, only the last possibly partial); ``billed`` what the
-    shard oracles actually invoiced.
+    oracle or bridge actually invoiced during the run.
     """
 
     allowance_pairs: int
@@ -66,14 +78,14 @@ class BudgetLedger:
             )
 
     def bill(self, invocations: int) -> None:
-        """Record oracle invocations reported back by a shard."""
+        """Record oracle invocations reported back by the backend."""
         self.billed += invocations
 
     def reconcile(self) -> None:
         """Check granted == billed <= allowance; raise on any mismatch."""
         if self.billed != self.granted:
             raise PipelineError(
-                f"shard oracles billed {self.billed} invocations but the "
+                f"the SMC backend billed {self.billed} invocations but the "
                 f"ledger granted {self.granted} record pairs"
             )
         if self.granted > self.allowance_pairs:
@@ -89,41 +101,9 @@ class RunContext:
 
     config: object
     telemetry: Telemetry = NOOP_TELEMETRY
-    executor_name: str = "serial"
-    shards: int = 1
     ledger: BudgetLedger | None = None
-    _executor: Executor | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        validate_executor(self.executor_name)
-        validate_shards(self.shards)
-
-    @property
-    def sharded(self) -> bool:
-        """True when stages should split work (more than one shard)."""
-        return self.shards > 1
-
-    @property
-    def partitioner(self) -> Partitioner:
-        """The partitioner all stages share for this run."""
-        return Partitioner(self.shards)
-
-    @property
-    def executor(self) -> Executor:
-        """The run's executor backend, built on first use."""
-        if self._executor is None:
-            self._executor = resolve_executor(
-                self.executor_name, shards=self.shards
-            )
-        return self._executor
 
     def open_ledger(self, allowance_pairs: int) -> BudgetLedger:
         """Start the run's budget ledger for *allowance_pairs*."""
         self.ledger = BudgetLedger(allowance_pairs=allowance_pairs)
         return self.ledger
-
-    def close(self) -> None:
-        """Release the executor pool, if one was ever built."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None

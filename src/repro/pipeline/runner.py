@@ -3,14 +3,11 @@
 ``Pipeline.from_config`` reads any config object shaped like
 :class:`repro.linkage.hybrid.LinkageConfig` (duck-typed: ``rule``,
 ``allowance``, ``heuristic``, ``strategy``, ``oracle_factory``,
-``engine``, ``telemetry``, plus optional ``executor``/``shards``) and
-builds the :class:`~repro.pipeline.context.RunContext` the stages share.
+``engine``, ``telemetry``) and builds the
+:class:`~repro.pipeline.context.RunContext` the stages share.
 :class:`repro.linkage.hybrid.HybridLinkage` is a thin facade over this
 class; ``run``/``run_from_blocking`` here return the same
 :class:`~repro.linkage.hybrid.LinkageResult` it always has.
-
-The executor pool (if any) is closed in a ``finally`` after every run,
-so no worker threads or processes outlive a linkage call.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from .stages import BlockStage, LeftoverStage, SelectStage, SMCStage
 
 
 class Pipeline:
-    """Block → select → SMC → leftovers, under one execution plan."""
+    """Block → select → SMC → leftovers, in order."""
 
     def __init__(self, context: RunContext):
         self.context = context
@@ -43,8 +40,6 @@ class Pipeline:
             RunContext(
                 config=config,
                 telemetry=getattr(config, "telemetry", NOOP_TELEMETRY),
-                executor_name=getattr(config, "executor", "serial"),
-                shards=getattr(config, "shards", 1),
             )
         )
 
@@ -56,18 +51,11 @@ class Pipeline:
             raise ConfigurationError("input relations must share a schema")
         config = self.context.config
         telemetry = self.context.telemetry
-        try:
-            with telemetry.span(
-                "linkage.run",
-                engine=config.engine,
-                allowance=config.allowance,
-                executor=self.context.executor_name,
-                shards=self.context.shards,
-            ):
-                blocking = self.block_stage.run(self.context, left, right)
-                return self._link(blocking, left, right)
-        finally:
-            self.context.close()
+        with telemetry.span(
+            "linkage.run", engine=config.engine, allowance=config.allowance
+        ):
+            blocking = self.block_stage.run(self.context, left, right)
+            return self._link(blocking, left, right)
 
     def run_from_blocking(
         self,
@@ -76,10 +64,7 @@ class Pipeline:
         right: GeneralizedRelation,
     ):
         """Run the post-blocking stages on a precomputed blocking result."""
-        try:
-            return self._link(blocking, left, right)
-        finally:
-            self.context.close()
+        return self._link(blocking, left, right)
 
     def _link(
         self,

@@ -1,27 +1,15 @@
 """The pipeline's stages: block, select, SMC, leftovers.
 
 Each stage wraps one phase of the paper's hybrid method behind a
-``run(context, ...)`` method. With ``shards == 1`` a stage executes the
-exact serial code path the library has always had — same kernels, same
-spans, same counters — so the pipeline refactor is invisible to
-single-shard callers. With ``shards > 1`` it slices its work through the
-context's :class:`~repro.pipeline.partition.Partitioner`, maps the
-module-level workers of :mod:`repro.pipeline.shards` over the context's
-executor, and merges in shard order.
+``run(context, ...)`` method and runs it in-process, in order: the
+blocking kernels, the heuristic's ordering, the budgeted oracle loop and
+the leftover strategy, with the same spans and counters the library has
+always recorded. The SMC stage spends the allowance by the budget rule
+of :mod:`repro.pipeline.context`.
 
-The reconciliation invariant (DESIGN.md §9): for a fixed configuration,
-every ``(executor, shards)`` combination produces a bit-identical
-result. The pieces that guarantee it:
-
-- shards are contiguous, in-order slices, so concatenating shard outputs
-  reproduces the serial row-major orders exactly;
-- engines are resolved once from the global workload, never per shard;
-- scores are engine- and shard-independent bit for bit, and the parent
-  applies the serial sort key to the merged scores;
-- the SMC budget is granted as greedy prefix leases
-  (:func:`~repro.pipeline.shards.plan_leases`) and the
-  :class:`~repro.pipeline.context.BudgetLedger` cross-checks the shard
-  oracles' invoices against the grants after the merge.
+The module also holds the two pieces :class:`repro.protocol.QueryingParty`
+runs over published views: :func:`block_published_views` (its own
+view-blocking loop) and :func:`consume_bridge`.
 """
 
 from __future__ import annotations
@@ -31,45 +19,23 @@ from dataclasses import dataclass, field
 
 from repro.anonymize.base import GeneralizedRelation
 from repro.crypto.smc.oracle import SMCOracle
-from repro.errors import PipelineError, ProtocolError
-from repro.linkage.blocking import (
-    DEFAULT_CHUNK_CELLS,
-    BlockingResult,
-    ClassPair,
-    apply_synthetic_slowdown,
-    block,
-    check_rule_covers_qids,
-    publish_blocking_metrics,
-    resolve_engine,
-)
-from repro.linkage.heuristics import MinAvgFirst, average_expected_scores
+from repro.errors import ProtocolError
+from repro.linkage.blocking import BlockingResult, ClassPair, block
+from repro.linkage.expected import expected_distance_vector
+from repro.linkage.slack import Label, slack_decision
 from repro.linkage.strategies import SMCObservation
 
-from .context import RunContext
-from .partition import Partitioner
-from .shards import (
-    BlockShardTask,
-    ScoreShardTask,
-    SMCLease,
-    SMCShardTask,
-    ViewShardTask,
-    plan_leases,
-    relation_view,
-    run_block_shard,
-    run_score_shard,
-    run_smc_shard,
-    run_view_shard,
-)
+from .context import RunContext, plan_leases
 
 
 class Stage(abc.ABC):
-    """One phase of the hybrid method, serial- and shard-capable."""
+    """One phase of the hybrid method."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
     def run(self, context: RunContext, *args, **kwargs):
-        """Execute the stage under *context*'s execution plan."""
+        """Execute the stage with *context*'s config and telemetry."""
 
 
 def compare_class_pair(
@@ -110,130 +76,10 @@ class BlockStage(Stage):
         right: GeneralizedRelation,
     ) -> BlockingResult:
         config = context.config
-        if not context.sharded or len(left.classes) < 2:
-            return block(
-                config.rule, left, right,
-                engine=config.engine, telemetry=context.telemetry,
-            )
-        return self._run_sharded(context, left, right)
-
-    def _run_sharded(
-        self,
-        context: RunContext,
-        left: GeneralizedRelation,
-        right: GeneralizedRelation,
-    ) -> BlockingResult:
-        config = context.config
-        telemetry = context.telemetry
-        rule = config.rule
-        check_rule_covers_qids(rule, left, right)
-        class_pairs = len(left.classes) * len(right.classes)
-        resolved = resolve_engine(config.engine, class_pairs)
-        result = BlockingResult(
-            rule=rule,
-            total_pairs=len(left.source) * len(right.source),
-            engine=resolved,
+        return block(
+            config.rule, left, right,
+            engine=config.engine, telemetry=context.telemetry,
         )
-        with telemetry.span(
-            "blocking",
-            engine=resolved,
-            class_pairs=class_pairs,
-            executor=context.executor_name,
-            shards=context.shards,
-        ) as span:
-            with telemetry.span(f"blocking.kernel.{resolved}"):
-                right_view = relation_view(right)
-                tasks = [
-                    BlockShardTask(
-                        rule=rule,
-                        left=relation_view(left, left.classes[start:stop]),
-                        right=right_view,
-                        left_start=start,
-                        engine=resolved,
-                        chunk_cells=DEFAULT_CHUNK_CELLS,
-                    )
-                    for start, stop in context.partitioner.slices(
-                        len(left.classes)
-                    )
-                ]
-                shard_results = context.executor.map(run_block_shard, tasks)
-                left_classes = left.classes
-                right_classes = right.classes
-                for shard_index, shard in enumerate(shard_results):
-                    result.matched.extend(
-                        ClassPair(left_classes[li], right_classes[ri])
-                        for li, ri in shard.matched
-                    )
-                    result.unknown.extend(
-                        ClassPair(left_classes[li], right_classes[ri])
-                        for li, ri in shard.unknown
-                    )
-                    result.nonmatch_pairs += shard.nonmatch_pairs
-                    telemetry.histogram(
-                        "pipeline.block.shard_seconds"
-                    ).observe(shard.seconds)
-                    telemetry.emit_progress(
-                        "blocking", shard_index + 1, len(tasks), unit="shards"
-                    )
-            apply_synthetic_slowdown(span)
-        result.elapsed_seconds = span.duration
-        publish_blocking_metrics(telemetry, result, class_pairs, resolved)
-        return result
-
-
-def sharded_scores(
-    context: RunContext,
-    rule,
-    left: GeneralizedRelation,
-    right: GeneralizedRelation,
-    pair_positions: list[tuple[int, int]],
-    scorer,
-    resolved: str,
-) -> list[float]:
-    """Score class pairs (given as class-index pairs) across shards.
-
-    *scorer* is a stateless :class:`SelectionHeuristic`; *resolved* the
-    globally resolved engine. Scores come back concatenated in input
-    order and are bit-identical to the serial scoring paths.
-    """
-    left_view = relation_view(left)
-    right_view = relation_view(right)
-    tasks = [
-        ScoreShardTask(
-            rule=rule,
-            left=left_view,
-            right=right_view,
-            pair_indices=chunk,
-            heuristic=scorer,
-            engine=resolved,
-        )
-        for chunk in context.partitioner.split(pair_positions)
-    ]
-    scores: list[float] = []
-    for shard in context.executor.map(run_score_shard, tasks):
-        scores.extend(shard.scores)
-        context.telemetry.histogram(
-            "pipeline.select.shard_seconds"
-        ).observe(shard.seconds)
-    return scores
-
-
-def _class_positions(
-    pairs,
-    left: GeneralizedRelation,
-    right: GeneralizedRelation,
-) -> list[tuple[int, int]] | None:
-    """Class-index pairs for *pairs*, or ``None`` on foreign classes."""
-    left_index = {eq_class: i for i, eq_class in enumerate(left.classes)}
-    right_index = {eq_class: i for i, eq_class in enumerate(right.classes)}
-    positions: list[tuple[int, int]] = []
-    for pair in pairs:
-        left_position = left_index.get(pair.left)
-        right_position = right_index.get(pair.right)
-        if left_position is None or right_position is None:
-            return None
-        positions.append((left_position, right_position))
-    return positions
 
 
 class SelectStage(Stage):
@@ -249,54 +95,10 @@ class SelectStage(Stage):
         right: GeneralizedRelation,
     ) -> list[ClassPair]:
         config = context.config
-        heuristic = config.heuristic
-        telemetry = context.telemetry
-        if (
-            not context.sharded
-            or len(unknown) < 2
-            or not getattr(heuristic, "shardable", False)
-        ):
-            return heuristic.order(
-                unknown, config.rule, left, right,
-                engine=config.engine, telemetry=telemetry,
-            )
-        positions = _class_positions(unknown, left, right)
-        if positions is None:
-            # Foreign classes: no stable shard-addressable positions, so
-            # the serial path (with its rendering tie-break) takes over.
-            return heuristic.order(
-                unknown, config.rule, left, right,
-                engine=config.engine, telemetry=telemetry,
-            )
-        resolved = resolve_engine(config.engine, len(unknown))
-        with telemetry.span(
-            f"select.score.{resolved}",
-            heuristic=heuristic.name,
-            pairs=len(unknown),
-            executor=context.executor_name,
-            shards=context.shards,
-        ):
-            telemetry.counter("select.pairs_scored").add(len(unknown))
-            telemetry.emit_progress(
-                "select", 0, len(unknown), unit="pairs", heuristic=heuristic.name
-            )
-            scores = sharded_scores(
-                context, config.rule, left, right, positions, heuristic,
-                resolved,
-            )
-            decorated = [
-                (score, pair.size, position, pair)
-                for score, position, pair in zip(scores, positions, unknown)
-            ]
-            decorated.sort(key=lambda item: item[:3])
-            telemetry.emit_progress(
-                "select",
-                len(unknown),
-                len(unknown),
-                unit="pairs",
-                heuristic=heuristic.name,
-            )
-            return [item[3] for item in decorated]
+        return config.heuristic.order(
+            unknown, config.rule, left, right,
+            engine=config.engine, telemetry=context.telemetry,
+        )
 
 
 @dataclass
@@ -323,167 +125,57 @@ class SMCStage(Stage):
         left: GeneralizedRelation,
         right: GeneralizedRelation,
     ) -> SMCOutcome:
-        if not context.sharded:
-            return self._run_serial(
-                context, ordered, allowance_pairs, left, right
-            )
-        return self._run_sharded(
-            context, ordered, allowance_pairs, left, right
-        )
-
-    def _run_serial(
-        self, context, ordered, allowance_pairs, left, right
-    ) -> SMCOutcome:
         config = context.config
         telemetry = context.telemetry
+        takes, _ = plan_leases((pair.size for pair in ordered), allowance_pairs)
         ledger = context.open_ledger(allowance_pairs)
+        ledger.grant(takes)
         oracle = config.oracle_factory(config.rule, left.source.schema)
         if telemetry.enabled:
             oracle.attach_telemetry(telemetry)
-        budget = allowance_pairs
+        invocations_before = oracle.invocations
+        comparisons_before = oracle.attribute_comparisons
         outcome = SMCOutcome()
         observations = outcome.observations
         smc_matched = outcome.smc_matched
         leftovers = outcome.leftovers
+        spent = 0
         with telemetry.span(
             "linkage.smc", backend=type(oracle).__name__
         ) as smc_span:
             with telemetry.span("oracle.compare", backend=type(oracle).__name__):
-                for position, pair in enumerate(ordered):
-                    if budget <= 0:
-                        leftovers.extend(ordered[position:])
-                        break
-                    take = min(budget, pair.size)
+                for position, (pair, take) in enumerate(zip(ordered, takes)):
                     matches = compare_class_pair(
                         oracle, left, right, pair, take, smc_matched
                     )
-                    budget -= take
+                    spent += take
                     observations.append(SMCObservation(pair, take, matches))
                     if take < pair.size:
                         leftovers.append(pair)
                     telemetry.histogram("smc.class_pair_take").observe(take)
                     telemetry.emit_progress(
                         "smc",
-                        allowance_pairs - budget,
+                        spent,
                         allowance_pairs,
                         unit="pairs",
                         matches=len(smc_matched),
                         class_pairs=position + 1,
                     )
+                leftovers.extend(ordered[len(takes):])
+            outcome.invocations = oracle.invocations - invocations_before
+            outcome.attribute_comparisons = (
+                oracle.attribute_comparisons - comparisons_before
+            )
             smc_span.annotate(
-                invocations=oracle.invocations,
+                invocations=outcome.invocations,
                 matches=len(smc_matched),
             )
         if telemetry.enabled:
             oracle.publish_metrics()
             telemetry.counter("smc.allowance_pairs").add(allowance_pairs)
             telemetry.counter("smc.matched_pairs").add(len(smc_matched))
-        ledger.grant([observation.compared for observation in observations])
-        ledger.bill(oracle.invocations)
+        ledger.bill(outcome.invocations)
         ledger.reconcile()
-        outcome.invocations = oracle.invocations
-        outcome.attribute_comparisons = oracle.attribute_comparisons
-        return outcome
-
-    def _run_sharded(
-        self, context, ordered, allowance_pairs, left, right
-    ) -> SMCOutcome:
-        config = context.config
-        telemetry = context.telemetry
-        backend = getattr(
-            config.oracle_factory, "__name__", type(config.oracle_factory).__name__
-        )
-        ledger = context.open_ledger(allowance_pairs)
-        takes, _ = plan_leases(
-            [pair.size for pair in ordered], allowance_pairs
-        )
-        ledger.grant(takes)
-        leased = ordered[: len(takes)]
-        outcome = SMCOutcome()
-        # Serial leftover order: the one possibly-partial pair (always the
-        # last lease) is appended during its own iteration, before the
-        # untaken tail is extended.
-        if takes and takes[-1] < leased[-1].size:
-            outcome.leftovers.append(leased[-1])
-        outcome.leftovers.extend(ordered[len(takes):])
-        leases = [
-            SMCLease(
-                left_indices=tuple(pair.left.indices),
-                right_indices=tuple(pair.right.indices),
-                take=take,
-            )
-            for pair, take in zip(leased, takes)
-        ]
-        smc_matched = outcome.smc_matched
-        observations = outcome.observations
-        invocations = 0
-        attribute_comparisons = 0
-        with telemetry.span(
-            "linkage.smc",
-            backend=backend,
-            executor=context.executor_name,
-            shards=context.shards,
-        ) as smc_span:
-            with telemetry.span("oracle.compare", backend=backend):
-                tasks = [
-                    SMCShardTask(
-                        oracle_factory=config.oracle_factory,
-                        rule=config.rule,
-                        schema=left.source.schema,
-                        left_source=left.source,
-                        right_source=right.source,
-                        leases=tuple(group),
-                    )
-                    for group in context.partitioner.split(leases)
-                ]
-                shard_results = context.executor.map(run_smc_shard, tasks)
-                spent = 0
-                position = 0
-                for shard in shard_results:
-                    invocations += shard.invocations
-                    attribute_comparisons += shard.attribute_comparisons
-                    ledger.bill(shard.invocations)
-                    telemetry.histogram(
-                        "pipeline.smc.shard_seconds"
-                    ).observe(shard.seconds)
-                    for matches, matched_pairs in shard.outcomes:
-                        pair = leased[position]
-                        take = takes[position]
-                        smc_matched.extend(matched_pairs)
-                        observations.append(
-                            SMCObservation(pair, take, matches)
-                        )
-                        spent += take
-                        telemetry.histogram("smc.class_pair_take").observe(take)
-                        telemetry.emit_progress(
-                            "smc",
-                            spent,
-                            allowance_pairs,
-                            unit="pairs",
-                            matches=len(smc_matched),
-                            class_pairs=position + 1,
-                        )
-                        position += 1
-            smc_span.annotate(
-                invocations=invocations, matches=len(smc_matched)
-            )
-        if position != len(takes):
-            raise PipelineError(
-                f"shards returned {position} lease outcomes for "
-                f"{len(takes)} granted leases"
-            )
-        ledger.reconcile()
-        if telemetry.enabled:
-            # Mirror SMCOracle.publish_metrics for the summed shard
-            # oracles, then the stage counters the serial path records.
-            telemetry.counter("smc.record_pair_comparisons").set(invocations)
-            telemetry.counter("smc.attribute_comparisons").set(
-                attribute_comparisons
-            )
-            telemetry.counter("smc.allowance_pairs").add(allowance_pairs)
-            telemetry.counter("smc.matched_pairs").add(len(smc_matched))
-        outcome.invocations = invocations
-        outcome.attribute_comparisons = attribute_comparisons
         return outcome
 
 
@@ -503,13 +195,10 @@ class LeftoverStage(Stage):
         config = context.config
         telemetry = context.telemetry
         strategy = config.strategy
-        kwargs = {}
-        if context.sharded and getattr(strategy, "uses_scoring", False):
-            kwargs["scorer"] = self._sharded_scorer(context, left, right)
         with telemetry.span("linkage.leftovers", strategy=strategy.name):
             claimed = strategy.claim_matches(
                 leftovers, observations, config.rule, left, right,
-                engine=config.engine, telemetry=telemetry, **kwargs,
+                engine=config.engine, telemetry=telemetry,
             )
         if telemetry.enabled:
             telemetry.counter("leftovers.class_pairs").add(len(leftovers))
@@ -517,28 +206,6 @@ class LeftoverStage(Stage):
                 len(claimed)
             )
         return claimed
-
-    def _sharded_scorer(self, context, left, right):
-        """A drop-in for ``average_expected_scores`` that shards the work."""
-        config = context.config
-
-        def scorer(pairs) -> list[float]:
-            if not pairs:
-                return []
-            positions = _class_positions(pairs, left, right)
-            if positions is None:
-                return average_expected_scores(
-                    pairs, config.rule, left, right,
-                    config.engine, context.telemetry,
-                )
-            context.telemetry.counter("select.pairs_scored").add(len(pairs))
-            resolved = resolve_engine(config.engine, len(pairs))
-            return sharded_scores(
-                context, config.rule, left, right, positions, MinAvgFirst(),
-                resolved,
-            )
-
-        return scorer
 
 
 # --------------------------------------------------------------------------
@@ -548,13 +215,13 @@ class LeftoverStage(Stage):
 
 @dataclass
 class ViewBlocking:
-    """The querying party's blocking pass, merged across shards."""
+    """The querying party's blocking pass over two published views."""
 
     blocked_match_pairs: int
     blocked_nonmatch_pairs: int
     matched_class_pairs: list[tuple[int, int]]
     #: (score, insertion index, (left PublishedClass, right PublishedClass))
-    #: — exactly the serial loop's ``unknown`` entries, unsorted.
+    #: per unknown class pair, in row-major visiting order, unsorted.
     unknown: list[tuple[float, int, tuple]]
 
 
@@ -565,90 +232,64 @@ def block_published_views(
     right_view,
     left_positions,
     right_positions,
-    *,
-    context: RunContext,
 ) -> ViewBlocking:
-    """Run ``QueryingParty.link``'s blocking loop, sharded over left classes.
+    """``QueryingParty.link``'s blocking loop over two published views.
 
-    The single-shard case routes through the same worker
-    (:func:`~repro.pipeline.shards.run_view_shard`) as the sharded one —
-    the worker *is* the serial loop, so there is no second code path to
-    keep in sync.
+    Every class pair is labeled by the slack rule; unknown pairs are
+    scored by *heuristic*, and the insertion index breaks score ties in
+    row-major visiting order. *left_positions*/*right_positions* map the
+    rule's attributes to each view's QID columns.
     """
-    bounds = context.partitioner.slices(len(left_view.classes))
-    tasks = [
-        ViewShardTask(
-            rule=rule,
-            heuristic=heuristic,
-            left_classes=tuple(left_view.classes[start:stop]),
-            right_classes=tuple(right_view.classes),
-            left_positions=tuple(left_positions),
-            right_positions=tuple(right_positions),
-        )
-        for start, stop in bounds
-    ]
-    merged = ViewBlocking(
+    result = ViewBlocking(
         blocked_match_pairs=0,
         blocked_nonmatch_pairs=0,
         matched_class_pairs=[],
         unknown=[],
     )
-    shard_results = context.executor.map(run_view_shard, tasks)
-    for (start, _stop), shard in zip(bounds, shard_results):
-        merged.blocked_match_pairs += shard.blocked_match_pairs
-        merged.blocked_nonmatch_pairs += shard.blocked_nonmatch_pairs
-        merged.matched_class_pairs.extend(shard.matched_class_pairs)
-        offset = len(merged.unknown)
-        merged.unknown.extend(
-            (
-                score,
-                offset + local_index,
-                (
-                    left_view.classes[start + left_offset],
-                    right_view.classes[right_offset],
-                ),
-            )
-            for score, local_index, left_offset, right_offset in shard.unknown
-        )
-        context.telemetry.histogram(
-            "pipeline.view_block.shard_seconds"
-        ).observe(shard.seconds)
-    return merged
+    for left_class in left_view.classes:
+        left_sequence = [
+            left_class.sequence[position] for position in left_positions
+        ]
+        for right_class in right_view.classes:
+            right_sequence = [
+                right_class.sequence[position] for position in right_positions
+            ]
+            label = slack_decision(rule, left_sequence, right_sequence)
+            pair_count = left_class.size * right_class.size
+            if label is Label.MATCH:
+                result.blocked_match_pairs += pair_count
+                result.matched_class_pairs.append(
+                    (left_class.class_id, right_class.class_id)
+                )
+            elif label is Label.NONMATCH:
+                result.blocked_nonmatch_pairs += pair_count
+            else:
+                score = heuristic.score(
+                    expected_distance_vector(
+                        rule.attributes, left_sequence, right_sequence
+                    )
+                )
+                result.unknown.append(
+                    (score, len(result.unknown), (left_class, right_class))
+                )
+    return result
 
 
-def consume_bridge(bridge, batches, shards: int = 1) -> list[list[bool]]:
+def consume_bridge(bridge, batches) -> list[list[bool]]:
     """Feed per-lease handle batches through ``bridge.compare_many``.
 
-    With ``shards <= 1`` each lease is one ``compare_many`` call — the
-    wire pattern the networked bridge's fault-recovery machinery is tuned
-    to. With more shards, leases are grouped into ``shards`` contiguous
-    session batches, one ``compare_many`` per group, and the verdicts are
-    split back per lease. Verdict order matches batch order either way,
-    so the outcome is identical.
+    Each lease is one ``compare_many`` call — the wire pattern the
+    networked bridge's fault-recovery machinery is tuned to. Verdict
+    order matches batch order; a bridge answering a batch with the wrong
+    number of verdicts is a :class:`~repro.errors.ProtocolError`.
     """
-    if shards <= 1:
-        results = []
-        for batch in batches:
-            verdicts = bridge.compare_many(batch)
-            if len(verdicts) != len(batch):
-                raise ProtocolError(
-                    f"bridge returned {len(verdicts)} verdicts for a "
-                    f"batch of {len(batch)} pairs"
-                )
-            results.append(verdicts)
-        return results
-    results: list[list[bool]] = [[] for _ in batches]
-    for group in Partitioner(shards).split(list(range(len(batches)))):
-        merged = [handles for index in group for handles in batches[index]]
-        verdicts = bridge.compare_many(merged)
-        if len(verdicts) != len(merged):
+    results = []
+    for batch in batches:
+        verdicts = bridge.compare_many(batch)
+        if len(verdicts) != len(batch):
             raise ProtocolError(
                 f"bridge returned {len(verdicts)} verdicts for a "
-                f"batch of {len(merged)} pairs"
+                f"batch of {len(batch)} pairs"
             )
-        offset = 0
-        for index in group:
-            size = len(batches[index])
-            results[index] = verdicts[offset:offset + size]
-            offset += size
+        results.append(verdicts)
     return results

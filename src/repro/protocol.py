@@ -41,13 +41,11 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
 from repro.pipeline import (
-    RunContext,
+    BudgetLedger,
     block_published_views,
     consume_bridge,
-    validate_executor,
-    validate_shards,
+    plan_leases,
 )
-from repro.pipeline.shards import plan_leases
 
 #: A record handle the querying party may hold: (class_id, offset).
 Handle = tuple[int, int]
@@ -246,8 +244,6 @@ class QueryingParty:
         allowance: float = 0.015,
         heuristic: SelectionHeuristic | None = None,
         claim_leftovers: bool = False,
-        executor: str = "serial",
-        shards: int = 1,
     ):
         if not 0.0 <= allowance <= 1.0:
             raise ConfigurationError("allowance must be a fraction in [0, 1]")
@@ -256,10 +252,6 @@ class QueryingParty:
         self.heuristic = heuristic or MinAvgFirst()
         #: Strategy 2 (maximize recall) when true; strategy 1 otherwise.
         self.claim_leftovers = claim_leftovers
-        #: Execution plan for the blocking pass and SMC session batching;
-        #: outcomes are identical for every (executor, shards) choice.
-        self.executor = validate_executor(executor)
-        self.shards = validate_shards(shards)
 
     def link(
         self,
@@ -269,30 +261,16 @@ class QueryingParty:
     ) -> ProtocolOutcome:
         """Run blocking + budgeted SMC over two published views.
 
-        Both passes route through the staged pipeline: blocking shards
-        over the left view's classes on this party's executor, and the
-        SMC consumption is planned as budget leases which — when
-        ``shards > 1`` — are grouped into session batches, one
-        ``compare_many`` per batch. Outcomes are identical for every
-        execution plan.
+        Blocking is this party's own loop over the published classes
+        (:func:`~repro.pipeline.block_published_views`). The SMC step
+        follows the pipeline's budget rule: the allowance is planned as
+        per-class-pair leases (:func:`~repro.pipeline.plan_leases`),
+        granted to a :class:`~repro.pipeline.BudgetLedger`, sent as one
+        ``compare_many`` batch per lease, and the invocations the bridge
+        billed during this call are reconciled against the grant.
+        ``smc_invocations`` counts this call's invocations only, so a
+        bridge can be reused across calls.
         """
-        context = RunContext(
-            config=None,
-            executor_name=self.executor,
-            shards=self.shards,
-        )
-        try:
-            return self._link(left_view, right_view, bridge, context)
-        finally:
-            context.close()
-
-    def _link(
-        self,
-        left_view: PublishedView,
-        right_view: PublishedView,
-        bridge: SMCBridge,
-        context: RunContext,
-    ) -> ProtocolOutcome:
         left_positions = self._positions(left_view)
         right_positions = self._positions(right_view)
         total_pairs = left_view.record_count * right_view.record_count
@@ -303,7 +281,6 @@ class QueryingParty:
             right_view,
             left_positions,
             right_positions,
-            context=context,
         )
         outcome = ProtocolOutcome(
             total_pairs=total_pairs,
@@ -327,6 +304,8 @@ class QueryingParty:
             for _, __, (left_class, right_class) in unknown
         ]
         takes, _ = plan_leases(sizes, budget)
+        ledger = BudgetLedger(allowance_pairs=budget)
+        ledger.grant(takes)
         batches: list[list[tuple[Handle, Handle]]] = []
         for position, (_, __, (left_class, right_class)) in enumerate(unknown):
             pair_count = sizes[position]
@@ -351,13 +330,14 @@ class QueryingParty:
                     for offset in range(take)
                 ]
             )
-        for batch, verdicts in zip(
-            batches, consume_bridge(bridge, batches, self.shards)
-        ):
+        invocations_before = bridge.invocations
+        for batch, verdicts in zip(batches, consume_bridge(bridge, batches)):
             for handles, verdict in zip(batch, verdicts):
                 if verdict:
                     outcome.matched_handles.append(handles)
-        outcome.smc_invocations = bridge.invocations
+        outcome.smc_invocations = bridge.invocations - invocations_before
+        ledger.bill(outcome.smc_invocations)
+        ledger.reconcile()
         return outcome
 
     def _positions(self, view: PublishedView) -> list[int]:

@@ -220,20 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on large class-pair workloads; results are identical)",
     )
     parser.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="shard execution backend for the staged pipeline; every "
-        "backend produces bit-identical results",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="how many shards to split the class-pair space into "
-        "(1 = classic serial run)",
-    )
-    parser.add_argument(
         "--hierarchies",
         default=None,
         metavar="FILE",
@@ -293,8 +279,6 @@ def run_remote(args, parser: argparse.ArgumentParser) -> int:
             parties["bob"],
             allowance=args.allowance,
             heuristic=heuristic_by_name(args.heuristic),
-            executor=args.executor,
-            shards=args.shards,
             telemetry=telemetry,
         )
         result = client.run()
@@ -320,8 +304,6 @@ def run_remote(args, parser: argparse.ArgumentParser) -> int:
                 "k": args.k,
                 "allowance": args.allowance,
                 "heuristic": args.heuristic,
-                "executor": args.executor,
-                "shards": args.shards,
             },
         )
         print(f"wrote run report to {args.metrics_out}")
@@ -374,8 +356,6 @@ def main(argv: list[str] | None = None) -> int:
                 heuristic=heuristic_by_name(args.heuristic),
                 engine=args.engine,
                 telemetry=telemetry,
-                executor=args.executor,
-                shards=args.shards,
             )
             result = HybridLinkage(config).run(left_gen, right_gen)
         finally:
@@ -397,8 +377,6 @@ def main(argv: list[str] | None = None) -> int:
             context={
                 "tool": "repro-link",
                 "engine": args.engine,
-                "executor": args.executor,
-                "shards": args.shards,
                 "k": args.k,
                 "allowance": args.allowance,
                 "heuristic": args.heuristic,

@@ -1,39 +1,30 @@
-"""Tests of the staged pipeline core: sharding, executors, parity.
+"""Tests of the staged pipeline core: the budget rule and its consumers.
 
-The pipeline's contract is *reconciliation*: for every execution plan
-(executor backend x shard count x engine) the merged result is
-bit-identical to the classic serial path — same verified matches, same
-observation sequence, same leftovers, same oracle invoice. These tests
-pin that contract at every layer: the partitioner, the budget ledger,
-the executor backends, the full :class:`~repro.linkage.hybrid.HybridLinkage`
-run, the three-party protocol, and the ``repro-link`` CSV output.
+The SMC allowance is spent by one rule, shared by
+:class:`~repro.pipeline.SMCStage` and :class:`repro.protocol.QueryingParty`:
+:func:`~repro.pipeline.plan_leases` plans per-class-pair takes, a
+:class:`~repro.pipeline.BudgetLedger` grants them, and the invocations
+the oracle or bridge billed during the run are reconciled against the
+grant. These tests pin the planner, the ledger, both consumers of the
+rule, :func:`~repro.pipeline.consume_bridge`, and the import cost of the
+command-line front end.
 """
 
 from __future__ import annotations
 
-import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.anonymize import MaxEntropyTDS
+from repro.crypto.smc.oracle import CountingPlaintextOracle
 from repro.data.hierarchies import ADULT_QID_ORDER
-from repro.errors import ConfigurationError, PipelineError, ProtocolError
-from repro.linkage.blocking import block
+from repro.errors import PipelineError, ProtocolError
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
-from repro.pipeline import (
-    EXECUTORS,
-    BudgetLedger,
-    Partitioner,
-    ProcessExecutor,
-    RunContext,
-    SerialExecutor,
-    ThreadExecutor,
-    consume_bridge,
-    resolve_executor,
-    validate_executor,
-    validate_shards,
-)
-from repro.pipeline.shards import plan_leases
+from repro.pipeline import BudgetLedger, consume_bridge, plan_leases
+from repro.protocol import DataHolder, QueryingParty, SMCBridge
 
 QIDS = ADULT_QID_ORDER[:5]
 
@@ -45,47 +36,6 @@ def generalized_pair(adult_pair, adult_hierarchy_catalog):
         anonymizer.anonymize(adult_pair.left, QIDS, 32),
         anonymizer.anonymize(adult_pair.right, QIDS, 32),
     )
-
-
-def _square(value):
-    return value * value
-
-
-class TestPartitioner:
-    def test_slices_cover_range_contiguously(self):
-        for shards in (1, 2, 3, 7):
-            for count in (0, 1, 2, 6, 7, 50):
-                bounds = Partitioner(shards).slices(count)
-                flat = [
-                    index
-                    for start, stop in bounds
-                    for index in range(start, stop)
-                ]
-                assert flat == list(range(count))
-
-    def test_balanced_divmod_rule(self):
-        bounds = Partitioner(3).slices(7)
-        sizes = [stop - start for start, stop in bounds]
-        # 7 over 3: the first 7 % 3 = 1 shard gets the extra item.
-        assert sizes == [3, 2, 2]
-
-    def test_never_more_slices_than_items(self):
-        assert len(Partitioner(8).slices(3)) == 3
-        assert Partitioner(8).slices(0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            Partitioner(2).slices(-1)
-
-    def test_split_matches_slices(self):
-        items = list("abcdefg")
-        parts = Partitioner(3).split(items)
-        assert [len(part) for part in parts] == [3, 2, 2]
-        assert [item for part in parts for item in part] == items
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Partitioner(0)
 
 
 class TestPlanLeases:
@@ -131,213 +81,6 @@ class TestBudgetLedger:
             ledger.reconcile()
 
 
-class TestExecutors:
-    def test_validate_executor(self):
-        for name in EXECUTORS:
-            assert validate_executor(name) == name
-        with pytest.raises(ConfigurationError):
-            validate_executor("cluster")
-
-    def test_validate_shards(self):
-        assert validate_shards(3) == 3
-        for bad in (0, -1, 1.5, True, "2"):
-            with pytest.raises(ConfigurationError):
-                validate_shards(bad)
-
-    @pytest.mark.parametrize("name", EXECUTORS)
-    def test_map_preserves_task_order(self, name):
-        with resolve_executor(name, shards=4) as executor:
-            assert executor.map(_square, list(range(20))) == [
-                value * value for value in range(20)
-            ]
-
-    def test_resolve_executor_types(self):
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("thread"), ThreadExecutor)
-        assert isinstance(resolve_executor("process"), ProcessExecutor)
-
-    def test_close_is_idempotent(self):
-        executor = resolve_executor("thread", shards=2)
-        executor.map(_square, [1, 2, 3])
-        executor.close()
-        executor.close()
-        # A closed pool is rebuilt lazily on the next map.
-        assert executor.map(_square, [3]) == [9]
-        executor.close()
-
-    def test_context_closes_lazy_executor(self):
-        context = RunContext(config=None, executor_name="thread", shards=2)
-        assert context.executor.map(_square, [2]) == [4]
-        context.close()
-        assert context._executor is None
-
-
-def result_fingerprint(result):
-    """Every decision-relevant field of a LinkageResult, order included."""
-    return {
-        "total_pairs": result.total_pairs,
-        "allowance_pairs": result.allowance_pairs,
-        "engine": result.blocking.engine,
-        "blocking": (
-            result.blocking.nonmatch_pairs,
-            [
-                (pair.left.sequence, pair.right.sequence)
-                for pair in result.blocking.matched
-            ],
-            [
-                (pair.left.sequence, pair.right.sequence)
-                for pair in result.blocking.unknown
-            ],
-        ),
-        "smc_invocations": result.smc_invocations,
-        "attribute_comparisons": result.attribute_comparisons,
-        "smc_matched_pairs": list(result.smc_matched_pairs),
-        "observations": [
-            (
-                observation.pair.left.sequence,
-                observation.pair.right.sequence,
-                observation.compared,
-                observation.matches,
-            )
-            for observation in result.observations
-        ],
-        "leftovers": [
-            (pair.left.sequence, pair.right.sequence)
-            for pair in result.leftovers
-        ],
-        "claimed": [
-            (pair.left.sequence, pair.right.sequence)
-            for pair in result.claimed
-        ],
-        "verified": list(result.iter_verified_matches()),
-    }
-
-
-class TestLinkageParity:
-    """Sharded runs are bit-identical to the serial reference."""
-
-    @pytest.fixture(scope="class")
-    def references(self, adult_rule, generalized_pair):
-        left, right = generalized_pair
-        return {
-            engine: result_fingerprint(
-                HybridLinkage(
-                    LinkageConfig(adult_rule, allowance=0.01, engine=engine)
-                ).run(left, right)
-            )
-            for engine in ("python", "numpy")
-        }
-
-    @pytest.mark.parametrize("engine", ["python", "numpy"])
-    @pytest.mark.parametrize(
-        "executor,shards",
-        [("serial", 2), ("thread", 3), ("process", 2), ("process", 5)],
-    )
-    def test_execution_plans_reconcile(
-        self, executor, shards, engine, adult_rule, generalized_pair, references
-    ):
-        left, right = generalized_pair
-        config = LinkageConfig(
-            adult_rule,
-            allowance=0.01,
-            engine=engine,
-            executor=executor,
-            shards=shards,
-        )
-        result = HybridLinkage(config).run(left, right)
-        assert result_fingerprint(result) == references[engine]
-
-    def test_sharded_blocking_matches_serial(
-        self, adult_rule, generalized_pair
-    ):
-        from types import SimpleNamespace
-
-        from repro.pipeline import BlockStage
-
-        left, right = generalized_pair
-        reference = block(adult_rule, left, right, engine="python")
-        for executor in EXECUTORS:
-            context = RunContext(
-                config=SimpleNamespace(rule=adult_rule, engine="python"),
-                executor_name=executor,
-                shards=3,
-            )
-            try:
-                sharded = BlockStage().run(context, left, right)
-            finally:
-                context.close()
-            assert sharded.nonmatch_pairs == reference.nonmatch_pairs
-            assert [
-                (pair.left.sequence, pair.right.sequence)
-                for pair in sharded.matched
-            ] == [
-                (pair.left.sequence, pair.right.sequence)
-                for pair in reference.matched
-            ]
-            assert [
-                (pair.left.sequence, pair.right.sequence)
-                for pair in sharded.unknown
-            ] == [
-                (pair.left.sequence, pair.right.sequence)
-                for pair in reference.unknown
-            ]
-
-    def test_random_heuristic_falls_back_to_serial_selection(
-        self, adult_rule, generalized_pair
-    ):
-        """Unshardable heuristics still reconcile (serial selection path)."""
-        from repro.linkage.heuristics import RandomSelection
-        from repro.linkage.strategies import LearnedClassifier
-
-        left, right = generalized_pair
-        results = []
-        for executor, shards in (("serial", 1), ("thread", 3)):
-            config = LinkageConfig(
-                adult_rule,
-                allowance=0.01,
-                heuristic=RandomSelection(seed=7),
-                strategy=LearnedClassifier(),
-                executor=executor,
-                shards=shards,
-            )
-            results.append(
-                result_fingerprint(HybridLinkage(config).run(left, right))
-            )
-        assert results[0] == results[1]
-
-
-class TestProtocolParity:
-    """QueryingParty outcomes are identical for every execution plan."""
-
-    @pytest.fixture(scope="class")
-    def parties(self, adult_pair, adult_hierarchy_catalog):
-        from repro.protocol import DataHolder
-
-        alice = DataHolder("alice", adult_pair.left)
-        bob = DataHolder("bob", adult_pair.right)
-        anonymizer = MaxEntropyTDS(adult_hierarchy_catalog)
-        left_view = alice.publish(anonymizer, QIDS, k=16)
-        right_view = bob.publish(anonymizer, QIDS, k=16)
-        return alice, bob, left_view, right_view
-
-    @pytest.mark.parametrize(
-        "executor,shards", [("serial", 3), ("thread", 2), ("process", 4)]
-    )
-    def test_outcome_matches_serial(
-        self, executor, shards, parties, adult_rule
-    ):
-        from repro.protocol import QueryingParty, SMCBridge
-
-        alice, bob, left_view, right_view = parties
-        baseline = QueryingParty(adult_rule, allowance=0.01).link(
-            left_view, right_view, SMCBridge(alice, bob, adult_rule)
-        )
-        sharded = QueryingParty(
-            adult_rule, allowance=0.01, executor=executor, shards=shards
-        ).link(left_view, right_view, SMCBridge(alice, bob, adult_rule))
-        assert sharded == baseline
-
-
 class _ScriptedBridge:
     """A fake bridge answering True for even-index pairs, recording calls."""
 
@@ -358,77 +101,110 @@ class TestConsumeBridge:
 
     def test_serial_path_one_call_per_batch(self):
         bridge = _ScriptedBridge()
-        verdicts = consume_bridge(bridge, self.BATCHES, shards=1)
+        verdicts = consume_bridge(bridge, self.BATCHES)
         assert bridge.calls == [3, 2, 4, 1]
         assert [len(batch) for batch in verdicts] == [3, 2, 4, 1]
 
-    def test_sharded_grouping_preserves_verdict_alignment(self):
-        serial = consume_bridge(_ScriptedBridge(), self.BATCHES, shards=1)
-        for shards in (2, 3, 8):
-            bridge = _ScriptedBridge()
-            grouped = consume_bridge(bridge, self.BATCHES, shards=shards)
-            # Fewer round trips, same per-batch verdict lists.
-            assert len(bridge.calls) <= len(self.BATCHES)
-            assert [len(batch) for batch in grouped] == [3, 2, 4, 1]
-            assert sum(bridge.calls) == sum(len(b) for b in self.BATCHES)
-            # Verdict values are positional within each *session* batch, so
-            # only the shape is comparable to the serial call pattern here;
-            # real bridges answer per pair, which the protocol parity test
-            # above pins end to end.
-            assert serial is not grouped
-
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_short_verdict_batch_rejected(self, shards):
+    def test_short_verdict_batch_rejected(self):
         bridge = _ScriptedBridge(short_batch=1)
         with pytest.raises(ProtocolError):
-            consume_bridge(bridge, self.BATCHES, shards=shards)
+            consume_bridge(bridge, self.BATCHES)
 
     def test_empty_batches(self):
-        assert consume_bridge(_ScriptedBridge(), [], shards=3) == []
+        assert consume_bridge(_ScriptedBridge(), []) == []
 
 
-class TestLinkCliParity:
-    """repro-link writes byte-identical CSVs for every executor."""
+@pytest.fixture(scope="module")
+def parties(adult_pair, adult_hierarchy_catalog):
+    alice = DataHolder("alice", adult_pair.left)
+    bob = DataHolder("bob", adult_pair.right)
+    anonymizer = MaxEntropyTDS(adult_hierarchy_catalog)
+    left_view = alice.publish(anonymizer, QIDS, k=16)
+    right_view = bob.publish(anonymizer, QIDS, k=16)
+    return alice, bob, left_view, right_view
 
-    @pytest.fixture(scope="class")
-    def csv_pair(self, tmp_path_factory):
-        from repro.data.adult import generate_adult
-        from repro.data.partition import build_linkage_pair
 
-        directory = tmp_path_factory.mktemp("pipeline-cli")
-        relation = generate_adult(300, seed=71)
-        pair = build_linkage_pair(relation, seed=72)
-        left_path = directory / "left.csv"
-        right_path = directory / "right.csv"
-        pair.left.write_csv(str(left_path))
-        pair.right.write_csv(str(right_path))
-        return str(left_path), str(right_path)
+class _OverbillingBridge(SMCBridge):
+    """An in-process bridge that bills one pair more than it compared."""
 
-    def test_csv_identical_across_executors(self, csv_pair, tmp_path, capsys):
-        from repro.tools.link_cli import main
+    @property
+    def invocations(self) -> int:
+        billed = self.oracle.invocations
+        return billed + 1 if billed else 0
 
-        left_path, right_path = csv_pair
-        outputs = {}
-        for executor in EXECUTORS:
-            out_path = tmp_path / f"matches-{executor}.csv"
-            code = main(
-                [
-                    left_path,
-                    right_path,
-                    "--attr", "age=continuous:0.05",
-                    "--attr", "education=categorical:0.5",
-                    "--k", "8",
-                    "--allowance", "0.05",
-                    "--executor", executor,
-                    "--shards", "4",
-                    "--out", str(out_path),
-                ]
+
+class _OverbillingOracle(CountingPlaintextOracle):
+    """A counted oracle that bills one record pair too many per block."""
+
+    def compare_block(self, left_records, right_records, take):
+        matched = super().compare_block(left_records, right_records, take)
+        self.invocations += 1
+        return matched
+
+
+class TestBudgetRule:
+    """SMCStage and QueryingParty bill only their own run, and reconcile."""
+
+    def test_reused_bridge_reports_per_link_invocations(
+        self, parties, adult_rule
+    ):
+        alice, bob, left_view, right_view = parties
+        bridge = SMCBridge(alice, bob, adult_rule)
+        party = QueryingParty(adult_rule, allowance=0.01)
+        first = party.link(left_view, right_view, bridge)
+        second = party.link(left_view, right_view, bridge)
+        assert first.smc_invocations > 0
+        assert second.smc_invocations == first.smc_invocations
+        assert second.matched_handles == first.matched_handles
+        assert bridge.invocations == 2 * first.smc_invocations
+
+    def test_overbilling_bridge_raises(self, parties, adult_rule):
+        alice, bob, left_view, right_view = parties
+        bridge = _OverbillingBridge(alice, bob, adult_rule)
+        with pytest.raises(PipelineError):
+            QueryingParty(adult_rule, allowance=0.01).link(
+                left_view, right_view, bridge
             )
-            capsys.readouterr()
-            assert code == 0
-            with open(out_path, newline="") as handle:
-                outputs[executor] = list(csv.reader(handle))
-        assert outputs["thread"] == outputs["serial"]
-        assert outputs["process"] == outputs["serial"]
-        assert outputs["serial"][0] == ["left_index", "right_index"]
-        assert len(outputs["serial"]) > 1
+
+    def test_smc_stage_reconciles_oracle_billing(
+        self, adult_rule, generalized_pair
+    ):
+        left, right = generalized_pair
+        config = LinkageConfig(
+            adult_rule, allowance=0.01, oracle_factory=_OverbillingOracle
+        )
+        with pytest.raises(PipelineError):
+            HybridLinkage(config).run(left, right)
+
+    def test_smc_stage_bills_only_its_own_run(
+        self, adult_rule, generalized_pair
+    ):
+        left, right = generalized_pair
+        shared = CountingPlaintextOracle(adult_rule, left.source.schema)
+        config = LinkageConfig(
+            adult_rule,
+            allowance=0.01,
+            oracle_factory=lambda rule, schema: shared,
+        )
+        first = HybridLinkage(config).run(left, right)
+        second = HybridLinkage(config).run(left, right)
+        assert first.smc_invocations == first.allowance_pairs
+        assert second.smc_invocations == first.smc_invocations
+        assert shared.invocations == 2 * first.smc_invocations
+
+
+class TestImportCost:
+    def test_link_cli_import_skips_multiprocessing(self):
+        """The CLI's import path loads no process-pool machinery."""
+        code = (
+            "import sys, repro.tools.link_cli; "
+            "sys.exit('multiprocessing' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr or (
+            "importing repro.tools.link_cli loaded multiprocessing"
+        )
