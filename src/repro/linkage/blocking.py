@@ -100,7 +100,13 @@ def resolve_engine(engine: str, class_pairs: int) -> str:
 
 @dataclass(frozen=True)
 class ClassPair:
-    """A pair of equivalence classes, one from each side."""
+    """A pair of classes, one from each side.
+
+    The classes are :class:`~repro.anonymize.base.EquivalenceClass` objects
+    in-process or :class:`~repro.protocol.PublishedClass` objects on the
+    querying party's side; blocking and ordering read only their
+    ``sequence`` and ``size``.
+    """
 
     left: EquivalenceClass
     right: EquivalenceClass
@@ -241,7 +247,7 @@ def block(
     resolved = resolve_engine(engine, class_pairs)
     result = BlockingResult(
         rule=rule,
-        total_pairs=len(left.source) * len(right.source),
+        total_pairs=len(left) * len(right),
         engine=resolved,
     )
     with telemetry.span(
@@ -352,11 +358,13 @@ def _block_numpy(
     index. Left classes are processed in chunks sized so the
     ``(rows, n_right)`` intermediates stay within *chunk_cells* cells; per
     chunk the per-attribute tables reduce into ``nonmatch = any(v == 1)``
-    / ``match = all(v == 2)`` masks. Non-match mass is accumulated as the
-    bilinear form ``left_sizes @ mask @ right_sizes`` without
-    materializing pairs; matched/unknown class pairs come out of
-    ``np.nonzero`` in row-major order — exactly the scalar engine's
-    append order.
+    / ``match = all(v == 2)`` masks. Matched/unknown class pairs come out
+    of ``np.nonzero`` in row-major order — exactly the scalar engine's
+    append order. The three labels partition the chunk, so its non-match
+    mass is the chunk's total mass minus the matched and unknown masses of
+    those listed cells: exact integer arithmetic with no ``(rows, n_right)``
+    integer intermediate, which keeps peak memory a few bytes per chunk
+    cell.
     """
     import numpy as np
 
@@ -391,6 +399,7 @@ def _block_numpy(
     left_array[:] = left_classes
     right_array = np.empty(right_count, dtype=object)
     right_array[:] = right_classes
+    right_total = int(right_sizes.sum())
     rows_per_chunk = max(1, chunk_cells // right_count)
     total_chunks = -(-len(left_classes) // rows_per_chunk)
     nonmatch_total = 0
@@ -400,39 +409,58 @@ def _block_numpy(
     for start in range(0, len(left_classes), rows_per_chunk):
         chunks += 1
         stop = min(start + rows_per_chunk, len(left_classes))
-        nonmatch = None
-        all_match = None
-        for (nonmatch_table, match_table, r_codes), l_codes in zip(
-            attribute_tables, left_codes
-        ):
-            rows = l_codes[start:stop]
-            if r_codes is None:
-                nonmatch_chunk = nonmatch_table[rows]
-                match_chunk = match_table[rows]
-            else:
-                nonmatch_chunk = nonmatch_table[rows][:, r_codes]
-                match_chunk = match_table[rows][:, r_codes]
-            if nonmatch is None:
-                # Fancy indexing copies, so in-place |=/&= below is safe.
-                nonmatch = nonmatch_chunk
-                all_match = match_chunk
-            else:
-                nonmatch |= nonmatch_chunk
-                all_match &= match_chunk
-        nonmatch_total += int(left_sizes[start:stop] @ (nonmatch @ right_sizes))
-        undecided = ~(nonmatch | all_match)
-        match_rows, match_cols = np.nonzero(all_match)
-        matched.extend(
-            map(ClassPair, left_array[start + match_rows], right_array[match_cols])
+        match_rows, match_cols, unknown_rows, unknown_cols = _chunk_cells(
+            attribute_tables, left_codes, start, stop
         )
-        unknown_rows, unknown_cols = np.nonzero(undecided)
+        match_rows += start
+        unknown_rows += start
+        nonmatch_total += (
+            int(left_sizes[start:stop].sum()) * right_total
+            - int(left_sizes[match_rows] @ right_sizes[match_cols])
+            - int(left_sizes[unknown_rows] @ right_sizes[unknown_cols])
+        )
+        matched.extend(
+            map(ClassPair, left_array[match_rows], right_array[match_cols])
+        )
         unknown.extend(
-            map(ClassPair, left_array[start + unknown_rows], right_array[unknown_cols])
+            map(ClassPair, left_array[unknown_rows], right_array[unknown_cols])
         )
         telemetry.emit_progress("blocking", chunks, total_chunks, unit="chunks")
     result.nonmatch_pairs = nonmatch_total
     telemetry.counter("blocking.kernel_chunks").add(chunks)
     telemetry.histogram("blocking.chunk_rows").observe(rows_per_chunk)
+
+
+def _chunk_cells(attribute_tables, left_codes, start, stop):
+    """Matched and unknown cells of left classes ``start:stop``, row-major.
+
+    Returns ``(match_rows, match_cols, unknown_rows, unknown_cols)`` from
+    ``np.nonzero``, rows relative to *start*. The ``(rows, n_right)``
+    boolean masks live only inside this call, and the non-match mask is
+    reused in place as the undecided mask.
+    """
+    import numpy as np
+
+    def gather(table, rows, r_codes):
+        # Fancy indexing copies, so the in-place |=/&= below is safe.
+        return table[rows] if r_codes is None else table[rows][:, r_codes]
+
+    nonmatch = None
+    all_match = None
+    for (nonmatch_table, match_table, r_codes), l_codes in zip(
+        attribute_tables, left_codes
+    ):
+        rows = l_codes[start:stop]
+        if nonmatch is None:
+            nonmatch = gather(nonmatch_table, rows, r_codes)
+            all_match = gather(match_table, rows, r_codes)
+        else:
+            nonmatch |= gather(nonmatch_table, rows, r_codes)
+            all_match &= gather(match_table, rows, r_codes)
+    match_rows, match_cols = np.nonzero(all_match)
+    undecided = np.logical_or(nonmatch, all_match, out=nonmatch)
+    np.logical_not(undecided, out=undecided)
+    return (match_rows, match_cols, *np.nonzero(undecided))
 
 
 class ExpectedDistanceCache:

@@ -473,6 +473,7 @@ class QueryingPartyClient:
                     allowance=self.allowance,
                     heuristic=self.heuristic,
                     claim_leftovers=self.claim_leftovers,
+                    telemetry=self.telemetry,
                 )
                 with self.telemetry.span("net.smc", session=bridge.session_id):
                     outcome = party.link(left_view, right_view, bridge)

@@ -23,8 +23,6 @@ from .stages import (
     SMCOutcome,
     SMCStage,
     Stage,
-    ViewBlocking,
-    block_published_views,
     compare_class_pair,
     consume_bridge,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "SMCStage",
     "SelectStage",
     "Stage",
-    "ViewBlocking",
-    "block_published_views",
     "compare_class_pair",
     "consume_bridge",
     "plan_leases",

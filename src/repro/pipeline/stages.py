@@ -7,9 +7,9 @@ the leftover strategy, with the same spans and counters the library has
 always recorded. The SMC stage spends the allowance by the budget rule
 of :mod:`repro.pipeline.context`.
 
-The module also holds the two pieces :class:`repro.protocol.QueryingParty`
-runs over published views: :func:`block_published_views` (its own
-view-blocking loop) and :func:`consume_bridge`.
+The module also holds :func:`consume_bridge`, which
+:class:`repro.protocol.QueryingParty` uses to feed its per-lease handle
+batches to an SMC bridge.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from repro.anonymize.base import GeneralizedRelation
 from repro.crypto.smc.oracle import SMCOracle
 from repro.errors import ProtocolError
 from repro.linkage.blocking import BlockingResult, ClassPair, block
-from repro.linkage.expected import expected_distance_vector
-from repro.linkage.slack import Label, slack_decision
 from repro.linkage.strategies import SMCObservation
 
 from .context import RunContext, plan_leases
@@ -209,70 +207,8 @@ class LeftoverStage(Stage):
 
 
 # --------------------------------------------------------------------------
-# Published-view consumers (protocol.py's QueryingParty)
+# Published-view consumer (protocol.py's QueryingParty)
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class ViewBlocking:
-    """The querying party's blocking pass over two published views."""
-
-    blocked_match_pairs: int
-    blocked_nonmatch_pairs: int
-    matched_class_pairs: list[tuple[int, int]]
-    #: (score, insertion index, (left PublishedClass, right PublishedClass))
-    #: per unknown class pair, in row-major visiting order, unsorted.
-    unknown: list[tuple[float, int, tuple]]
-
-
-def block_published_views(
-    rule,
-    heuristic,
-    left_view,
-    right_view,
-    left_positions,
-    right_positions,
-) -> ViewBlocking:
-    """``QueryingParty.link``'s blocking loop over two published views.
-
-    Every class pair is labeled by the slack rule; unknown pairs are
-    scored by *heuristic*, and the insertion index breaks score ties in
-    row-major visiting order. *left_positions*/*right_positions* map the
-    rule's attributes to each view's QID columns.
-    """
-    result = ViewBlocking(
-        blocked_match_pairs=0,
-        blocked_nonmatch_pairs=0,
-        matched_class_pairs=[],
-        unknown=[],
-    )
-    for left_class in left_view.classes:
-        left_sequence = [
-            left_class.sequence[position] for position in left_positions
-        ]
-        for right_class in right_view.classes:
-            right_sequence = [
-                right_class.sequence[position] for position in right_positions
-            ]
-            label = slack_decision(rule, left_sequence, right_sequence)
-            pair_count = left_class.size * right_class.size
-            if label is Label.MATCH:
-                result.blocked_match_pairs += pair_count
-                result.matched_class_pairs.append(
-                    (left_class.class_id, right_class.class_id)
-                )
-            elif label is Label.NONMATCH:
-                result.blocked_nonmatch_pairs += pair_count
-            else:
-                score = heuristic.score(
-                    expected_distance_vector(
-                        rule.attributes, left_sequence, right_sequence
-                    )
-                )
-                result.unknown.append(
-                    (score, len(result.unknown), (left_class, right_class))
-                )
-    return result
 
 
 def consume_bridge(bridge, batches) -> list[list[bool]]:

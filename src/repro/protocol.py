@@ -17,7 +17,12 @@ module makes the boundary explicit:
 - :class:`QueryingParty` sees two published views and a
   :class:`SMCBridge`; it drives blocking, selection and the SMC step
   without ever holding a raw record (record pairs are addressed by
-  ``(class_id, offset)`` handles);
+  ``(class_id, offset)`` handles). Blocking and selection are the
+  library's own :func:`~repro.linkage.blocking.block` and
+  :meth:`~repro.linkage.heuristics.SelectionHeuristic.order`, run
+  directly on the published views (:func:`block_published_views`), so
+  the protocol compares exactly the record pairs
+  :class:`~repro.linkage.hybrid.HybridLinkage` compares;
 - :class:`SMCBridge` stands for the cryptographic protocol execution: it
   resolves handles against each holder privately and returns only the
   match bit to the querying party (with the real Paillier backend, not
@@ -38,14 +43,11 @@ from repro.anonymize.base import Anonymizer
 from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
 from repro.data.schema import Relation
 from repro.errors import ConfigurationError, ProtocolError
+from repro.linkage.blocking import ClassPair, block
 from repro.linkage.distances import MatchRule
 from repro.linkage.heuristics import MinAvgFirst, SelectionHeuristic
-from repro.pipeline import (
-    BudgetLedger,
-    block_published_views,
-    consume_bridge,
-    plan_leases,
-)
+from repro.obs import NOOP_TELEMETRY, Telemetry
+from repro.pipeline import BudgetLedger, consume_bridge, plan_leases
 
 #: A record handle the querying party may hold: (class_id, offset).
 Handle = tuple[int, int]
@@ -72,6 +74,9 @@ class PublishedView:
     def record_count(self) -> int:
         """Total records behind the view."""
         return sum(published.size for published in self.classes)
+
+    def __len__(self) -> int:
+        return self.record_count
 
 
 class DataHolder:
@@ -230,11 +235,52 @@ def verified_match_handles(
     return handles
 
 
+@dataclass
+class ViewBlocking:
+    """The querying party's blocking pass over two published views."""
+
+    blocked_match_pairs: int
+    blocked_nonmatch_pairs: int
+    matched_class_pairs: list[tuple[int, int]]
+    #: Unknown class pairs of published classes, in SMC consumption order.
+    unknown: list[ClassPair]
+
+
+def block_published_views(
+    rule: MatchRule,
+    heuristic: SelectionHeuristic,
+    left_view: PublishedView,
+    right_view: PublishedView,
+    telemetry: Telemetry = NOOP_TELEMETRY,
+) -> ViewBlocking:
+    """Block two published views and order the unknown class pairs.
+
+    The library's :func:`~repro.linkage.blocking.block` and
+    ``heuristic.order`` run on the views as they are: both read only the
+    QIDs, each class's sequence and size, and the record count, all of
+    which a view publishes.
+    """
+    blocked = block(rule, left_view, right_view, telemetry=telemetry)
+    return ViewBlocking(
+        blocked_match_pairs=blocked.matched_pairs,
+        blocked_nonmatch_pairs=blocked.nonmatch_pairs,
+        matched_class_pairs=[
+            (pair.left.class_id, pair.right.class_id)
+            for pair in blocked.matched
+        ],
+        unknown=heuristic.order(
+            blocked.unknown, rule, left_view, right_view, telemetry=telemetry
+        ),
+    )
+
+
 class QueryingParty:
     """The party that provides the classifier and receives the join.
 
     It operates exclusively on published views and the SMC bridge; there
-    is no code path from here to a raw record.
+    is no code path from here to a raw record. *telemetry* mirrors
+    :attr:`~repro.linkage.hybrid.LinkageConfig.telemetry`: it records the
+    blocking and selection spans and never influences a decision.
     """
 
     def __init__(
@@ -244,6 +290,7 @@ class QueryingParty:
         allowance: float = 0.015,
         heuristic: SelectionHeuristic | None = None,
         claim_leftovers: bool = False,
+        telemetry: Telemetry = NOOP_TELEMETRY,
     ):
         if not 0.0 <= allowance <= 1.0:
             raise ConfigurationError("allowance must be a fraction in [0, 1]")
@@ -252,6 +299,7 @@ class QueryingParty:
         self.heuristic = heuristic or MinAvgFirst()
         #: Strategy 2 (maximize recall) when true; strategy 1 otherwise.
         self.claim_leftovers = claim_leftovers
+        self.telemetry = telemetry
 
     def link(
         self,
@@ -261,8 +309,10 @@ class QueryingParty:
     ) -> ProtocolOutcome:
         """Run blocking + budgeted SMC over two published views.
 
-        Blocking is this party's own loop over the published classes
-        (:func:`~repro.pipeline.block_published_views`). The SMC step
+        Blocking and ordering are :func:`block_published_views`: the
+        library's slack-rule kernel and the heuristic's ordering, so the
+        unknown class pairs reach SMC in exactly
+        :class:`~repro.linkage.hybrid.HybridLinkage`'s order. The SMC step
         follows the pipeline's budget rule: the allowance is planned as
         per-class-pair leases (:func:`~repro.pipeline.plan_leases`),
         granted to a :class:`~repro.pipeline.BudgetLedger`, sent as one
@@ -271,61 +321,43 @@ class QueryingParty:
         ``smc_invocations`` counts this call's invocations only, so a
         bridge can be reused across calls.
         """
-        left_positions = self._positions(left_view)
-        right_positions = self._positions(right_view)
         total_pairs = left_view.record_count * right_view.record_count
         blocked = block_published_views(
-            self.rule,
-            self.heuristic,
-            left_view,
-            right_view,
-            left_positions,
-            right_positions,
+            self.rule, self.heuristic, left_view, right_view, self.telemetry
         )
+        unknown = blocked.unknown
         outcome = ProtocolOutcome(
             total_pairs=total_pairs,
             blocked_match_pairs=blocked.blocked_match_pairs,
             blocked_nonmatch_pairs=blocked.blocked_nonmatch_pairs,
-            unknown_pairs=0,
+            unknown_pairs=sum(pair.size for pair in unknown),
             smc_invocations=0,
             matched_handles=[],
             matched_class_pairs=blocked.matched_class_pairs,
         )
-        unknown: list[tuple[float, int, tuple[PublishedClass, PublishedClass]]] = (
-            blocked.unknown
-        )
-        outcome.unknown_pairs = sum(
-            pair[2][0].size * pair[2][1].size for pair in unknown
-        )
-        unknown.sort(key=lambda item: item[:2])
         budget = math.floor(self.allowance * total_pairs)
-        sizes = [
-            left_class.size * right_class.size
-            for _, __, (left_class, right_class) in unknown
-        ]
-        takes, _ = plan_leases(sizes, budget)
+        takes, _ = plan_leases((pair.size for pair in unknown), budget)
         ledger = BudgetLedger(allowance_pairs=budget)
         ledger.grant(takes)
         batches: list[list[tuple[Handle, Handle]]] = []
-        for position, (_, __, (left_class, right_class)) in enumerate(unknown):
-            pair_count = sizes[position]
+        for position, pair in enumerate(unknown):
+            left_id = pair.left.class_id
+            right_id = pair.right.class_id
             take = takes[position] if position < len(takes) else 0
+            outcome.leftover_pairs += pair.size - take
             if take == 0:
-                outcome.leftover_pairs += pair_count
                 if self.claim_leftovers:
-                    outcome.claimed_class_pairs.append(
-                        (left_class.class_id, right_class.class_id)
-                    )
+                    outcome.claimed_class_pairs.append((left_id, right_id))
                 continue
             # Record pairs inside a class pair are indistinguishable from
             # the anonymized view, so the first `take` of them in row-major
             # order are compared and the remainder becomes leftovers.
-            outcome.leftover_pairs += pair_count - take
+            right_size = pair.right.size
             batches.append(
                 [
                     (
-                        (left_class.class_id, offset // right_class.size),
-                        (right_class.class_id, offset % right_class.size),
+                        (left_id, offset // right_size),
+                        (right_id, offset % right_size),
                     )
                     for offset in range(take)
                 ]
@@ -339,14 +371,3 @@ class QueryingParty:
         ledger.bill(outcome.smc_invocations)
         ledger.reconcile()
         return outcome
-
-    def _positions(self, view: PublishedView) -> list[int]:
-        positions = []
-        for name in self.rule.names:
-            if name not in view.qids:
-                raise ConfigurationError(
-                    f"rule attribute {name!r} is not in {view.holder!r}'s "
-                    f"published QIDs {view.qids}"
-                )
-            positions.append(view.qids.index(name))
-        return positions

@@ -1,11 +1,17 @@
 """Tests for the blocking engine beyond the golden paper example."""
 
+import tracemalloc
+
 import pytest
 
 from repro.anonymize import MaxEntropyTDS, identity_generalization
+from repro.anonymize.base import EquivalenceClass, GeneralizedRelation
 from repro.data.hierarchies import ADULT_QID_ORDER
+from repro.data.schema import Attribute, Relation, Schema
+from repro.data.vgh import CategoricalHierarchy, Interval, IntervalHierarchy
 from repro.errors import ConfigurationError
 from repro.linkage.blocking import ClassPair, ExpectedDistanceCache, block
+from repro.linkage.distances import MatchAttribute, MatchRule
 from repro.linkage.ground_truth import GroundTruth
 
 QIDS = ADULT_QID_ORDER[:5]
@@ -140,3 +146,80 @@ class TestExpectedDistanceCache:
         cache = ExpectedDistanceCache(adult_rule, left, right)
         pair = ClassPair(left.classes[0], right.classes[0])
         assert cache.vector(pair) == cache.vector(pair)
+
+
+class TestNumpyKernelMemory:
+    """The numpy kernel's peak memory stays a few bytes per chunk cell."""
+
+    CLASSES = 800
+    CHUNK_CELLS = 1 << 17
+
+    @pytest.fixture(scope="class")
+    def wide_case(self):
+        """800 x 800 singleton classes: 640 k class pairs, 0.2 % matched.
+
+        Few distinct values per attribute keep the code tables tiny, so
+        the chunk masks dominate the kernel's memory.
+        """
+        leaves = [f"v{index}" for index in range(32)]
+        category = CategoricalHierarchy(
+            "category", {"ANY": {"Low": leaves[:16], "High": leaves[16:]}}
+        )
+        hours = IntervalHierarchy.equi_width("hours", 0.0, 32.0, 4.0, levels=3)
+        schema = Schema(
+            [Attribute.categorical("category"), Attribute.continuous("hours")]
+        )
+
+        def relation(stride):
+            source = Relation(schema, [("v0", 1.0)] * self.CLASSES)
+            classes = [
+                EquivalenceClass(
+                    (
+                        leaves[index % 32],
+                        Interval.point(float(index * stride % 32)),
+                    ),
+                    (index,),
+                )
+                for index in range(self.CLASSES)
+            ]
+            return GeneralizedRelation(
+                source,
+                ("category", "hours"),
+                {"category": category, "hours": hours},
+                classes,
+                k=1,
+            )
+
+        rule = MatchRule(
+            [
+                MatchAttribute("category", category, 0.0),
+                MatchAttribute("hours", hours, 0.0),
+            ]
+        )
+        return rule, relation(1), relation(7)
+
+    def test_peak_under_eight_bytes_per_chunk_cell(self, wide_case):
+        rule, left, right = wide_case
+        assert len(left.classes) * len(right.classes) >= 200_000
+        block(rule, left, right, engine="numpy", chunk_cells=self.CHUNK_CELLS)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            block(
+                rule, left, right, engine="numpy", chunk_cells=self.CHUNK_CELLS
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / self.CHUNK_CELLS < 8
+
+    def test_nonmatch_mass_matches_scalar_engine(self, wide_case):
+        rule, left, right = wide_case
+        scalar = block(rule, left, right, engine="python")
+        kernel = block(
+            rule, left, right, engine="numpy", chunk_cells=self.CHUNK_CELLS
+        )
+        assert kernel.matched
+        assert kernel.nonmatch_pairs == scalar.nonmatch_pairs
+        assert kernel.matched == scalar.matched
+        assert kernel.unknown == scalar.unknown

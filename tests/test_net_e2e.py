@@ -44,6 +44,7 @@ from repro.net.wire import (
     hello_message,
 )
 from repro.obs import Telemetry
+from repro.obs.export import iter_spans
 from repro.protocol import (
     DataHolder,
     QueryingParty,
@@ -166,6 +167,25 @@ class TestParity:
         )
         assert counters.counter("net.frames_sent").value > 0
         assert "on wire" in result.transcript.summary()
+
+
+class TestRemoteReport:
+    def test_blocking_and_selection_spans_are_recorded(
+        self, runtime, net_fixture, live_servers, reference
+    ):
+        """The remote report shows the phases a local report has."""
+        alice, bob = live_servers
+        result, telemetry = run_client(runtime, net_fixture, alice, bob)
+        names = [span["name"] for span, _, _ in iter_spans(telemetry.trace())]
+        assert "blocking" in names
+        assert any(name.startswith("blocking.kernel.") for name in names)
+        assert any(name.startswith("select.score.") for name in names)
+        counters = telemetry.metrics
+        assert counters.counter("blocking.class_pairs").value == (
+            len(result.left_view.classes) * len(result.right_view.classes)
+        )
+        # Recording telemetry never changes the outcome.
+        assert result.outcome == reference[0]
 
 
 class TestChannelEstimate:

@@ -7,10 +7,29 @@ from repro.crypto.smc.oracle import PaillierSMCOracle
 from repro.data.hierarchies import ADULT_QID_ORDER
 from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.ground_truth import GroundTruth
+from repro.linkage.heuristics import MinAvgFirst, RandomSelection
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
-from repro.protocol import DataHolder, QueryingParty, SMCBridge
+from repro.obs import Telemetry
+from repro.obs.export import iter_spans
+from repro.protocol import (
+    DataHolder,
+    QueryingParty,
+    SMCBridge,
+    verified_match_handles,
+)
 
 QIDS = ADULT_QID_ORDER[:5]
+
+
+def resolved_matches(alice, bob, outcome, left_view, right_view):
+    """The holders' verified matches as sorted (left, right) indices."""
+    handles = verified_match_handles(outcome, left_view, right_view)
+    return sorted(
+        zip(
+            alice.resolve([pair[0] for pair in handles]),
+            bob.resolve([pair[1] for pair in handles]),
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +114,71 @@ class TestQueryingParty:
         assert outcome.unknown_pairs == library.blocking.unknown_pairs
         assert outcome.smc_invocations == library.smc_invocations
         assert len(outcome.matched_handles) == library.smc_match_count
+        assert resolved_matches(
+            alice, bob, outcome, left_view, right_view
+        ) == sorted(library.iter_verified_matches())
+
+    @pytest.mark.parametrize(
+        "k, allowance, seed",
+        [
+            (4, 0.002, None),
+            (8, 0.002, None),
+            (8, 0.005, None),
+            (16, 0.01, None),
+            (8, 0.005, 7),
+        ],
+    )
+    def test_verifies_the_library_match_set(
+        self, adult_pair, adult_hierarchy_catalog, adult_rule,
+        k, allowance, seed,
+    ):
+        """Protocol and library compare the same pairs, ties included.
+
+        ``seed`` gives both sides a ``RandomSelection`` with that seed;
+        ``None`` runs the default minAvgFirst ordering, whose score ties
+        must break the library's way.
+        """
+        if seed is None:
+            heuristic = MinAvgFirst
+        else:
+            def heuristic():
+                return RandomSelection(seed)
+
+        anonymizer = MaxEntropyTDS(adult_hierarchy_catalog)
+        alice = DataHolder("alice", adult_pair.left)
+        bob = DataHolder("bob", adult_pair.right)
+        left_view = alice.publish(anonymizer, QIDS, k)
+        right_view = bob.publish(anonymizer, QIDS, k)
+        outcome = QueryingParty(
+            adult_rule, allowance=allowance, heuristic=heuristic()
+        ).link(left_view, right_view, SMCBridge(alice, bob, adult_rule))
+
+        config = LinkageConfig(
+            adult_rule, allowance=allowance, heuristic=heuristic()
+        )
+        library = HybridLinkage(config).run(
+            anonymizer.anonymize(adult_pair.left, QIDS, k),
+            anonymizer.anonymize(adult_pair.right, QIDS, k),
+        )
+        assert resolved_matches(
+            alice, bob, outcome, left_view, right_view
+        ) == sorted(library.iter_verified_matches())
+
+    def test_telemetry_records_blocking_and_selection(
+        self, parties, adult_rule
+    ):
+        alice, bob, left_view, right_view = parties
+        telemetry = Telemetry()
+        traced = QueryingParty(
+            adult_rule, allowance=0.01, telemetry=telemetry
+        ).link(left_view, right_view, SMCBridge(alice, bob, adult_rule))
+        plain = QueryingParty(adult_rule, allowance=0.01).link(
+            left_view, right_view, SMCBridge(alice, bob, adult_rule)
+        )
+        names = {span["name"] for span, _, _ in iter_spans(telemetry.trace())}
+        assert "blocking" in names
+        assert any(name.startswith("select.score.") for name in names)
+        assert traced == plain
 
     def test_matched_handles_resolve_to_true_matches(
         self, parties, adult_rule, adult_pair
