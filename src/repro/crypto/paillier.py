@@ -169,15 +169,18 @@ class PaillierKeyPair:
     ) -> "PaillierKeyPair":
         """Generate a key pair with a *bits*-bit modulus.
 
-        The paper's experiments use ``bits=1024``. Primes are drawn at
-        ``bits // 2`` each; generation retries until the modulus has the
-        requested size and ``gcd(n, λ) = 1`` holds.
+        The paper's experiments use ``bits=1024``. The two primes split
+        *bits* between them (``bits // 2`` each for even sizes), and
+        :func:`~repro.crypto.primes.generate_prime` forces their top two
+        bits, so the modulus has exactly *bits* bits and the first pair
+        drawn is kept. The size, ``p != q`` and ``gcd(n, λ) = 1`` checks
+        still guard the retry loop.
         """
         if rng is None:
             rng = random.SystemRandom()
         half = bits // 2
         while True:
-            p = generate_prime(half, rng)
+            p = generate_prime(bits - half, rng)
             q = generate_prime(half, rng)
             if p == q:
                 continue

@@ -77,8 +77,10 @@ def is_probable_prime(
 def generate_prime(bits: int, rng: random.Random | None = None) -> int:
     """Generate a random prime with exactly *bits* bits.
 
-    Candidates are odd with the top bit forced, so products of two such
-    primes have the expected modulus size.
+    Candidates are odd with the top *two* bits forced (as OpenSSL does for
+    RSA primes), so each prime exceeds ``1.5 * 2^(bits-1)`` and the product
+    of two such primes always has exactly ``2 * bits`` bits. With only the
+    top bit forced, about 39 % of products would come out one bit short.
     """
     if bits < 8:
         raise CryptoError(f"prime size {bits} bits is too small")
@@ -86,7 +88,7 @@ def generate_prime(bits: int, rng: random.Random | None = None) -> int:
         rng = random.SystemRandom()
     while True:
         candidate = rng.getrandbits(bits)
-        candidate |= (1 << (bits - 1)) | 1
+        candidate |= (0b11 << (bits - 2)) | 1
         if is_probable_prime(candidate, rng):
             return candidate
 

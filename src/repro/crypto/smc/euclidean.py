@@ -12,6 +12,21 @@ distance.
 This basic variant reveals the distance value to the querying party (the
 paper notes this and points to secure comparison for hiding it — see
 :mod:`repro.crypto.smc.comparison`).
+
+The protocol is written as one function per party step:
+
+- :func:`alice_encrypts` — Alice's message ``(E(a^2), E(-2a))``. It
+  depends only on her value, so a caller comparing one Alice record with
+  many of Bob's records sends it once and reuses it (see
+  :class:`~repro.crypto.smc.oracle.PaillierSMCOracle`);
+- :func:`bob_combines` — Bob's ``E((a - b)^2)``. It does *not*
+  re-randomize: every caller blinds or re-randomizes the result before it
+  leaves Bob, so one fresh ``r^n`` per forwarded ciphertext suffices;
+- :func:`query_reads_square` — the querying party decrypts.
+
+:func:`secure_squared_distance` composes them; it re-randomizes Bob's
+result itself before forwarding it, because this variant sends
+``E(d^2)`` to the key holder unblinded.
 """
 
 from __future__ import annotations
@@ -41,33 +56,50 @@ def bob_combines(
     alice_minus_twice: EncryptedNumber,
     value: float,
 ) -> EncryptedNumber:
-    """Bob's step: homomorphically assemble ``E((a - b)^2)``."""
+    """Bob's step: homomorphically assemble ``E((a - b)^2)``.
+
+    The result carries the randomness of Alice's ciphertexts, so it must
+    be blinded or re-randomized before it leaves Bob; the callers in this
+    package each do exactly one of those.
+    """
     codec = session.codec
     encoded = codec.encode(value)
     bob_square = (encoded * encoded) % session.public_key.n
     distance = alice_square + (alice_minus_twice * encoded) + bob_square
-    distance = distance.rerandomize(session.rng)
     session.transcript.record_operation("homomorphic_add", 2)
     session.transcript.record_operation("homomorphic_scale", 1)
-    session.transcript.record_operation("rerandomize", 1)
     return distance
 
 
-def secure_squared_distance(
-    session: SMCSession, alice_value: float, bob_value: float
+def query_reads_square(
+    session: SMCSession, encrypted_distance: EncryptedNumber
 ) -> float:
-    """Run the full three-party protocol; the query party learns ``(a-b)^2``.
-
-    Returns the decoded squared distance. The transcript gains two
-    Alice→Bob ciphertexts, one Bob→query ciphertext, two encryptions and
-    one decryption — the per-attribute cost the paper benchmarks at 0.43 s
-    with 1024-bit keys.
-    """
-    alice_square, alice_minus_twice = alice_encrypts(session, alice_value)
-    encrypted_distance = bob_combines(
-        session, alice_square, alice_minus_twice, bob_value
-    )
+    """The querying party's step: receive ``E(d^2)`` from Bob and decrypt it."""
     session.send_ciphertexts(BOB, QUERY, 1)
     raw = session.private_key.decrypt(encrypted_distance)
     session.transcript.record_operation("decrypt", 1)
     return session.codec.decode_square(raw)
+
+
+def secure_squared_distance(
+    session: SMCSession,
+    alice_value: float,
+    bob_value: float,
+    *,
+    alice_message: tuple[EncryptedNumber, EncryptedNumber] | None = None,
+) -> float:
+    """Run the full three-party protocol; the query party learns ``(a-b)^2``.
+
+    Returns the decoded squared distance. *alice_message* is the output of
+    :func:`alice_encrypts` for *alice_value* when the caller already sent
+    it; otherwise Alice encrypts here. A fresh run's transcript gains two
+    Alice→Bob ciphertexts, one Bob→query ciphertext, two encryptions, one
+    re-randomization and one decryption — the per-attribute cost the paper
+    benchmarks at 0.43 s with 1024-bit keys.
+    """
+    if alice_message is None:
+        alice_message = alice_encrypts(session, alice_value)
+    encrypted_distance = bob_combines(session, *alice_message, bob_value)
+    encrypted_distance = encrypted_distance.rerandomize(session.rng)
+    session.transcript.record_operation("rerandomize", 1)
+    return query_reads_square(session, encrypted_distance)

@@ -5,13 +5,16 @@ reduces to a private equality test:
 
 1. both holders hash their value into the plaintext space (SHA-256, so
    arbitrary strings work);
-2. Alice sends ``E(h_a)`` to Bob;
-3. Bob computes ``E(h_a - h_b)``, multiplicatively blinds it with a random
-   ``rho`` (``E(rho * (h_a - h_b))``), re-randomizes and forwards to the
-   querying party;
-4. the querying party decrypts: zero means equal, anything else is a
-   uniformly random multiple of the difference and reveals only "not
-   equal".
+2. Alice sends ``E(h_a)`` to Bob (:func:`alice_encrypts_hash`) — once per
+   record and attribute; Bob combines it with each of his records he is
+   asked to compare;
+3. for each comparison Bob computes ``E(h_a - h_b)``, multiplicatively
+   blinds it with a fresh random ``rho`` (``E(rho * (h_a - h_b))``),
+   re-randomizes with a fresh ``r^n`` and forwards to the querying party
+   (:func:`bob_blinds_difference`);
+4. the querying party decrypts (:func:`query_reads_zero`): zero means
+   equal, anything else is a uniformly random multiple of the difference
+   and reveals only "not equal".
 
 Leakage note: when ``gcd(h_a - h_b, n) > 1`` the blinded value ranges over
 a subgroup, which is a distinguishable event — but it happens with
@@ -56,14 +59,31 @@ def bob_blinds_difference(
     return blinded
 
 
-def secure_equality(session: SMCSession, alice_value, bob_value) -> bool:
-    """Run the full equality protocol; the query party learns one bit."""
-    alice_hash = alice_encrypts_hash(session, alice_value)
-    blinded = bob_blinds_difference(session, alice_hash, bob_value)
+def query_reads_zero(session: SMCSession, blinded: EncryptedNumber) -> bool:
+    """The querying party's step: decrypt the blinded difference, learn ``== 0``."""
     session.send_ciphertexts(BOB, QUERY, 1)
     raw = session.private_key.decrypt(blinded)
     session.transcript.record_operation("decrypt", 1)
     return raw == 0
+
+
+def secure_equality(
+    session: SMCSession,
+    alice_value,
+    bob_value,
+    *,
+    alice_message: EncryptedNumber | None = None,
+) -> bool:
+    """Run the full equality protocol; the query party learns one bit.
+
+    *alice_message* is Alice's :func:`alice_encrypts_hash` output for
+    *alice_value* when the caller already sent it; otherwise Alice
+    encrypts here.
+    """
+    if alice_message is None:
+        alice_message = alice_encrypts_hash(session, alice_value)
+    blinded = bob_blinds_difference(session, alice_message, bob_value)
+    return query_reads_zero(session, blinded)
 
 
 def secure_hamming_distance(session: SMCSession, alice_value, bob_value) -> int:

@@ -8,7 +8,11 @@ match?* — so the oracle interface is exactly that, plus cost accounting.
 Two interchangeable backends (DESIGN.md §4, substitution 3):
 
 - :class:`PaillierSMCOracle` runs the real three-party protocols per
-  attribute. Used in tests and the timing benchmark.
+  attribute. Alice's message for an attribute depends only on her record,
+  so the oracle sends it once per (left record, attribute) and Bob reuses
+  it for every right record compared with that left record in a row —
+  the row-major order of :meth:`SMCOracle.compare_block` makes those runs
+  long. Used in tests and the timing benchmark.
 - :class:`CountingPlaintextOracle` returns the same (exact) answer while
   only *counting* invocations — mirroring the paper's own cost model,
   which "restricted ... to the number of SMC protocol invocations" because
@@ -27,11 +31,11 @@ import numpy as np
 
 from repro.crypto.paillier import PaillierKeyPair
 from repro.crypto.smc.channel import SMCSession
-from repro.crypto.smc.comparison import secure_within_threshold
-from repro.crypto.smc.euclidean import secure_squared_distance
-from repro.crypto.smc.hamming import secure_equality
+from repro.crypto.smc.comparison import margin_bound, secure_within_threshold
+from repro.crypto.smc.euclidean import alice_encrypts, secure_squared_distance
+from repro.crypto.smc.hamming import alice_encrypts_hash, secure_equality
 from repro.data.schema import Record, Schema
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.linkage.distances import MatchRule
 from repro.obs import NOOP_TELEMETRY, Telemetry
 
@@ -210,6 +214,17 @@ class PaillierSMCOracle(SMCOracle):
     rng:
         Seed or RNG for key generation and blinding (tests pass a seed;
         ``None`` uses system randomness).
+
+    Alice's messages for the most recent left record are kept until a
+    different left record arrives. The record is matched by identity
+    against a reference the oracle holds — never by value, which would
+    tell Bob that two different Alice records share a value, and never
+    by ``id()``, which a freed record's successor can reuse. Each
+    ciphertext Bob forwards still gets a fresh blinder and a fresh
+    ``r^n``. Blinders are sized from each continuous attribute's public
+    domain (its hierarchy root) and threshold, so Bob's step reads no
+    value of Alice's (a rule attribute decoded from the wire carries that
+    bound in its ``domain_bound``).
     """
 
     def __init__(
@@ -234,6 +249,34 @@ class PaillierSMCOracle(SMCOracle):
             telemetry=telemetry if telemetry.enabled else None,
         )
         self.hide_distances = hide_distances
+        self._margin_bounds = []
+        for attribute in rule:
+            if not attribute.is_continuous:
+                self._margin_bounds.append(None)
+            elif attribute.domain_bound is None:
+                raise ConfigurationError(
+                    f"continuous attribute {attribute.name!r} has no public "
+                    "domain bound to size the comparison's blinding factor"
+                )
+            else:
+                self._margin_bounds.append(margin_bound(
+                    attribute.domain_bound, attribute.effective_threshold
+                ))
+        self._alice_record: Record | None = None
+        self._alice_messages: dict = {}
+
+    def reset(self) -> None:
+        """Zero the cost counters and forget Alice's cached messages."""
+        super().reset()
+        self._alice_record = None
+        self._alice_messages = {}
+
+    def _alice_message(self, slot: int, encrypt, value):
+        """Alice's message for rule attribute *slot*; encrypted once per record."""
+        message = self._alice_messages.get(slot)
+        if message is None:
+            message = self._alice_messages[slot] = encrypt(self.session, value)
+        return message
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         """Bind *telemetry*, including the session's channel transcript."""
@@ -243,39 +286,50 @@ class PaillierSMCOracle(SMCOracle):
         )
 
     def _compare(self, left: Record, right: Record) -> bool:
-        for attribute, position in zip(self.rule, self.bound.positions):
+        if left is not self._alice_record:
+            self._alice_record = left
+            self._alice_messages = {}
+        for slot, (attribute, position) in enumerate(
+            zip(self.rule, self.bound.positions)
+        ):
             left_value = left[position]
             right_value = right[position]
             if attribute.is_continuous:
                 self.attribute_comparisons += 1
+                message = self._alice_message(slot, alice_encrypts, left_value)
                 threshold = attribute.effective_threshold
                 if self.hide_distances:
                     within = secure_within_threshold(
-                        self.session, left_value, right_value, threshold
+                        self.session, left_value, right_value, threshold,
+                        magnitude_bound=self._margin_bounds[slot],
+                        alice_message=message,
                     )
                 else:
                     squared = secure_squared_distance(
-                        self.session, left_value, right_value
+                        self.session, left_value, right_value,
+                        alice_message=message,
                     )
                     within = squared <= threshold * threshold + 1e-9
                 if not within:
                     return False
-            elif attribute.is_string:
-                if attribute.threshold >= 1:
-                    # A secure *approximate* edit-distance protocol is the
-                    # open problem the paper's Section VIII names; only the
-                    # exact-equality case is supported cryptographically.
-                    raise ProtocolError(
-                        f"no secure edit-distance protocol for "
-                        f"{attribute.name!r} with threshold >= 1; use the "
-                        "plaintext cost-model oracle for that configuration"
-                    )
+            elif attribute.is_string and attribute.threshold >= 1:
+                # A secure *approximate* edit-distance protocol is the
+                # open problem the paper's Section VIII names; only the
+                # exact-equality case is supported cryptographically.
+                raise ProtocolError(
+                    f"no secure edit-distance protocol for "
+                    f"{attribute.name!r} with threshold >= 1; use the "
+                    "plaintext cost-model oracle for that configuration"
+                )
+            elif attribute.is_string or attribute.threshold < 1:
                 self.attribute_comparisons += 1
-                if not secure_equality(self.session, left_value, right_value):
-                    return False
-            elif attribute.threshold < 1:
-                self.attribute_comparisons += 1
-                if not secure_equality(self.session, left_value, right_value):
+                message = self._alice_message(
+                    slot, alice_encrypts_hash, left_value
+                )
+                if not secure_equality(
+                    self.session, left_value, right_value,
+                    alice_message=message,
+                ):
                     return False
             # Hamming threshold >= 1 can never be exceeded: no protocol run.
         return True

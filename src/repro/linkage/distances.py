@@ -115,6 +115,19 @@ class MatchAttribute:
             return self.threshold * self.hierarchy.domain_range
         return self.threshold
 
+    @property
+    def domain_bound(self) -> float | None:
+        """The largest ``|value|`` in a continuous attribute's domain.
+
+        Read from the root interval of the (public) hierarchy; the SMC
+        oracle sizes its blinding factors from it. ``None`` for
+        categorical and string attributes.
+        """
+        if not self.is_continuous:
+            return None
+        root = self.hierarchy.root
+        return max(abs(root.lo), abs(root.hi))
+
     def distance(self, left, right) -> float:
         """The raw distance ``d_i`` between two original values."""
         if self.is_continuous:

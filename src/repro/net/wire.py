@@ -32,6 +32,7 @@ rejected before any other message is interpreted.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -286,14 +287,16 @@ class WireMatchAttribute:
 
     Mirrors the :class:`repro.linkage.distances.MatchAttribute` interface
     the SMC oracles and bound rules consult — name, kind flags, raw and
-    effective thresholds — without shipping the hierarchy itself (the
-    effective threshold already folds in the normalization factor).
+    effective thresholds, and a continuous attribute's domain bound —
+    without shipping the hierarchy itself (the effective threshold already
+    folds in the normalization factor).
     """
 
     name: str
     kind: str
     threshold: float
     _effective_threshold: float
+    domain_bound: float | None = None
 
     @property
     def is_continuous(self) -> bool:
@@ -334,14 +337,15 @@ def encode_rule(rule: MatchRule) -> dict:
             kind = "string"
         else:
             kind = "categorical"
-        attributes.append(
-            {
-                "name": attribute.name,
-                "kind": kind,
-                "threshold": attribute.threshold,
-                "effective_threshold": attribute.effective_threshold,
-            }
-        )
+        encoded = {
+            "name": attribute.name,
+            "kind": kind,
+            "threshold": attribute.threshold,
+            "effective_threshold": attribute.effective_threshold,
+        }
+        if attribute.domain_bound is not None:
+            encoded["domain_bound"] = attribute.domain_bound
+        attributes.append(encoded)
     return {"attributes": attributes}
 
 
@@ -367,8 +371,18 @@ def decode_rule(obj) -> MatchRule:
         )
         if threshold < 0 or effective < 0:
             _fail(f"negative threshold for attribute {name!r}")
+        domain_bound = entry.get("domain_bound")
+        if domain_bound is not None:
+            domain_bound = _expect_number(
+                domain_bound, "attribute domain bound"
+            )
+            if not 0 <= domain_bound < math.inf:
+                _fail(
+                    f"domain bound of attribute {name!r} must be finite "
+                    "and >= 0"
+                )
         attributes.append(
-            WireMatchAttribute(name, kind, threshold, effective)
+            WireMatchAttribute(name, kind, threshold, effective, domain_bound)
         )
     return MatchRule(attributes)
 

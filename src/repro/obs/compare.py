@@ -15,7 +15,8 @@ Two halves:
   :func:`compare_metrics` diffs two such metric sets under a relative
   tolerance. ``python -m repro.obs.compare BASELINE CURRENT --tolerance
   25%`` prints the per-metric table and exits non-zero when any gated
-  metric regresses beyond tolerance — that exit code *is* the CI
+  metric regresses beyond tolerance, or when the two documents share no
+  metric (after ``--metric`` filtering) — that exit code *is* the CI
   perf-regression gate.
 
 Tolerance semantics: a lower-is-better metric (phase seconds, cost
@@ -375,6 +376,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  (baseline-only, not compared: {', '.join(only_baseline)})")
     if only_current:
         print(f"  (current-only, not compared: {', '.join(only_current)})")
+    if not deltas:
+        # A gate that compared nothing (e.g. a --metric glob that matches
+        # no metric name) must not pass.
+        print("repro.obs.compare: no metric to compare", file=sys.stderr)
+        return 2
     failed = regressions(deltas)
     if failed:
         print(

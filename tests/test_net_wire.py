@@ -146,6 +146,17 @@ class TestRoundTrips:
             assert wired.threshold == original.threshold
             assert wired.effective_threshold == original.effective_threshold
 
+    def test_rule_carries_continuous_domain_bound(self):
+        from repro.data.hierarchies import toy_education_vgh, toy_work_hrs_vgh
+        from repro.linkage.distances import MatchAttribute
+
+        rule = MatchRule([
+            MatchAttribute("education", toy_education_vgh(), 0.5),
+            MatchAttribute("work_hrs", toy_work_hrs_vgh(), 0.2),
+        ])
+        decoded = decode_rule(encode_rule(rule))
+        assert [attribute.domain_bound for attribute in decoded] == [None, 99]
+
     @given(st.integers(min_value=0, max_value=2**255))
     @settings(max_examples=50, deadline=None)
     def test_ciphertext_round_trip(self, plaintext_bits):
@@ -289,6 +300,13 @@ class TestRuleRejection:
                              "threshold": -1, "effective_threshold": 1}]},
             {"attributes": [{"kind": "continuous", "threshold": 1,
                              "effective_threshold": 1}]},
+            {"attributes": [{"name": "a", "kind": "continuous", "threshold": 1,
+                             "effective_threshold": 1, "domain_bound": -1}]},
+            {"attributes": [{"name": "a", "kind": "continuous", "threshold": 1,
+                             "effective_threshold": 1, "domain_bound": "99"}]},
+            {"attributes": [{"name": "a", "kind": "continuous", "threshold": 1,
+                             "effective_threshold": 1,
+                             "domain_bound": float("inf")}]},
         ],
     )
     def test_malformed_rule(self, payload):

@@ -229,6 +229,11 @@ class TestGateCli:
         assert compare_main([report, report]) == 0
         capsys.readouterr()
 
+    def test_gate_that_compares_nothing_fails(self, tmp_path, capsys):
+        report = self._write(tmp_path, "report.json", _sample_report())
+        assert compare_main([report, report, "--metric", "crypto.*"]) == 2
+        assert "no metric to compare" in capsys.readouterr().err
+
     def test_unreadable_input_is_a_usage_error(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
         assert compare_main([missing, missing]) == 2

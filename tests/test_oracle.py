@@ -183,3 +183,109 @@ class TestCompareBlock:
         )
         assert matches == [(0, 0)]
         assert oracle.invocations == 4
+
+
+@pytest.fixture(scope="module")
+def hours_setup():
+    """A rule with one continuous attribute, so every pair runs a protocol."""
+    schema = Schema([Attribute.continuous("work_hrs")])
+    rule = MatchRule([MatchAttribute("work_hrs", toy_work_hrs_vgh(), 0.2)])
+    return schema, rule
+
+
+def hour_records(*values):
+    """Fresh, distinct one-attribute records (built at run time)."""
+    return [tuple([float(value)]) for value in values]
+
+
+class TestAliceMessageReuse:
+    """Alice encrypts once per left record; Bob re-randomizes once per pair."""
+
+    @pytest.mark.parametrize("take", [12, 7])
+    def test_block_op_counts(self, hours_setup, take):
+        schema, rule = hours_setup
+        oracle = PaillierSMCOracle(rule, schema, key_bits=256, rng=31)
+        left = hour_records(35, 40, 80)
+        right = hour_records(36, 50, 90, 20)
+        oracle.compare_block(left, right, take)
+        operations = oracle.session.transcript.operations
+        rows = -(-take // len(right))
+        assert oracle.attribute_comparisons == take
+        assert operations["encrypt"] == 2 * rows
+        assert operations["rerandomize"] == take
+        assert operations["decrypt"] == take
+
+    def test_equal_values_in_distinct_records_are_encrypted_apart(
+        self, hours_setup
+    ):
+        schema, rule = hours_setup
+        oracle = PaillierSMCOracle(rule, schema, key_bits=256, rng=32)
+        left = hour_records(35, 35)
+        assert left[0] == left[1] and left[0] is not left[1]
+        oracle.compare_block(left, hour_records(36, 90), 4)
+        assert oracle.session.transcript.operations["encrypt"] == 4
+
+    def test_reset_forgets_the_message(self, hours_setup):
+        schema, rule = hours_setup
+        oracle = PaillierSMCOracle(rule, schema, key_bits=256, rng=33)
+        (left,) = hour_records(35)
+        right = hour_records(36)[0]
+        oracle.compare(left, right)
+        oracle.compare(left, right)
+        assert oracle.session.transcript.operations["encrypt"] == 2
+        oracle.reset()
+        oracle.compare(left, right)
+        assert oracle.session.transcript.operations["encrypt"] == 4
+
+    @pytest.mark.parametrize("hide_distances", [True, False])
+    def test_mixed_rule_verdicts_equal_plaintext(self, toy_setup, hide_distances):
+        """Categorical first: early-exit pairs never encrypt Alice's hours."""
+        schema, rule = toy_setup
+        oracle = PaillierSMCOracle(
+            rule, schema, key_bits=256, hide_distances=hide_distances, rng=34
+        )
+        plaintext = CountingPlaintextOracle(rule, schema)
+        left = [tuple(row) for row in (
+            ["Masters", 35.0], ["9th", 40.0], ["Doctorate", 80.0],
+            ["Masters", 80.0],
+        )]
+        right = [tuple(row) for row in (
+            ["Masters", 36.0], ["9th", 50.0], ["Masters", 98.0],
+            ["10th", 40.0],
+        )]
+        take = len(left) * len(right) - 1
+        matches = oracle.compare_block(left, right, take)
+        assert matches == plaintext.compare_block(left, right, take)
+        assert matches  # the block holds matches as well as mismatches
+        # 15 education comparisons, 5 of which match and go on to hours.
+        operations = oracle.session.transcript.operations
+        assert oracle.attribute_comparisons == 15 + 5
+        assert operations["rerandomize"] == operations["decrypt"] == 20
+        # One hash per left record, plus E(a^2), E(-2a) for the three left
+        # records that share an education value with some right record;
+        # "Doctorate" stops every pair at the first attribute.
+        assert operations["encrypt"] == 4 + 2 * 3
+
+    def test_compare_override_sees_every_pair(self, hours_setup):
+        """``compare_block`` routes each pair through ``compare()``."""
+        schema, rule = hours_setup
+
+        class Recording(PaillierSMCOracle):
+            calls = 0
+
+            def compare(self, left, right):
+                Recording.calls += 1
+                return super().compare(left, right)
+
+        oracle = Recording(rule, schema, key_bits=256, rng=35)
+        oracle.compare_block(hour_records(35, 40), hour_records(36, 50, 90), 5)
+        assert Recording.calls == oracle.invocations == 5
+
+    def test_continuous_attribute_needs_a_domain_bound(self, hours_setup):
+        from repro.errors import ConfigurationError
+        from repro.net.wire import WireMatchAttribute
+
+        schema, _ = hours_setup
+        rule = MatchRule([WireMatchAttribute("work_hrs", "continuous", 0.2, 19.6)])
+        with pytest.raises(ConfigurationError, match="domain bound"):
+            PaillierSMCOracle(rule, schema, key_bits=256, rng=36)

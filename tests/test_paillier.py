@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.crypto.paillier as paillier
 from repro.crypto.paillier import PaillierKeyPair
+from repro.crypto.primes import generate_prime
 from repro.errors import CryptoError
 
 
@@ -30,6 +32,24 @@ class TestKeyGeneration:
         first = PaillierKeyPair.generate(128, random.Random(1))
         second = PaillierKeyPair.generate(128, random.Random(2))
         assert first.public_key.n != second.public_key.n
+
+
+    @pytest.mark.parametrize("bits", [64, 128, 255, 256, 512])
+    def test_first_prime_pair_is_kept(self, bits, monkeypatch):
+        """Every key uses exactly the two primes drawn first, at full size."""
+        draws = []
+
+        def counting(size, rng=None):
+            draws.append(size)
+            assert len(draws) <= 2, "keygen discarded a prime pair"
+            return generate_prime(size, rng)
+
+        monkeypatch.setattr(paillier, "generate_prime", counting)
+        for seed in range(20):
+            draws.clear()
+            keys = PaillierKeyPair.generate(bits, random.Random(seed))
+            assert len(draws) == 2
+            assert keys.public_key.n.bit_length() == bits
 
 
 class TestEncryptDecrypt:

@@ -85,6 +85,7 @@ class TestSecureSquaredDistance:
         # 1 Alice->Bob transfer (two ciphertexts batched) + 1 Bob->query.
         assert session.transcript.messages == base_messages + 2
         assert session.transcript.operations["encrypt"] == 2
+        assert session.transcript.operations["rerandomize"] == 1
         assert session.transcript.operations["decrypt"] == 1
 
 
@@ -102,6 +103,17 @@ class TestSecureEquality:
     def test_arbitrary_values(self, session):
         assert secure_equality(session, ("x", 1), ("x", 1))
         assert not secure_equality(session, ("x", 1), ("x", 2))
+
+    def test_reused_message_needs_no_alice_value(self, session):
+        from repro.crypto.smc.hamming import alice_encrypts_hash
+
+        message = alice_encrypts_hash(session, "Masters")
+        verdicts = [
+            secure_equality(session, None, bob_value, alice_message=message)
+            for bob_value in ("Masters", "11th")
+        ]
+        assert verdicts == [True, False]
+        assert session.transcript.operations["encrypt"] == 1
 
     def test_hash_value_in_range(self, key_pair):
         modulus = key_pair.public_key.n
@@ -129,6 +141,32 @@ class TestSecureWithinThreshold:
         session = SMCSession(keys, rng=a * 7919 + b)
         expected = abs(a - b) <= threshold
         assert secure_within_threshold(session, a, b, threshold) == expected
+
+    def test_one_rerandomize_per_comparison(self, key_pair):
+        session = SMCSession(key_pair, rng=3)
+        secure_within_threshold(session, 35, 36, 19.6)
+        operations = session.transcript.operations
+        assert operations["encrypt"] == 2
+        assert operations["rerandomize"] == 1
+        assert operations["decrypt"] == 1
+
+    def test_reused_message_needs_no_alice_value(self, session):
+        """With Alice's message and a public bound, her value is never read."""
+        from repro.crypto.smc.comparison import margin_bound
+        from repro.crypto.smc.euclidean import alice_encrypts
+
+        message = alice_encrypts(session, 35)
+        bound = margin_bound(99, 19.6)
+        verdicts = [
+            secure_within_threshold(
+                session, None, bob_value, 19.6,
+                magnitude_bound=bound, alice_message=message,
+            )
+            for bob_value in (36, 54.0, 55.0)
+        ]
+        assert verdicts == [True, True, False]
+        assert session.transcript.operations["encrypt"] == 2
+        assert session.transcript.operations["rerandomize"] == 3
 
     def test_query_party_sees_only_blinded_margin(self, key_pair):
         """Two runs with the same inputs decrypt to different magnitudes."""
