@@ -24,9 +24,11 @@ with tree height ``h``, depth ``h + 1`` addresses the raw point values.
 from __future__ import annotations
 
 import abc
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.data.schema import Relation
 from repro.data.strings import PrefixHierarchy
@@ -123,15 +125,22 @@ class GeneralizedRelation:
         self.classes = tuple(classes)
         self.k = k
         self.suppressed = suppressed
-        covered = Counter()
-        for eq_class in self.classes:
-            covered.update(eq_class.indices)
-        covered.update(suppressed)
-        if sorted(covered) != list(range(len(source))):
+        listed = [eq_class.indices for eq_class in self.classes]
+        listed.append(suppressed)
+        covered = np.fromiter(
+            chain.from_iterable(listed),
+            dtype=np.int64,
+            count=sum(len(indices) for indices in listed),
+        )
+        in_range = not covered.size or (
+            covered.min() >= 0 and covered.max() < len(source)
+        )
+        counts = np.bincount(covered, minlength=len(source)) if in_range else None
+        if counts is None or not counts.all():
             raise AnonymizationError(
                 "equivalence classes do not exactly cover the source relation"
             )
-        if any(count > 1 for count in covered.values()):
+        if counts.max(initial=0) > 1:
             raise AnonymizationError("a record appears in two equivalence classes")
 
     def __len__(self) -> int:

@@ -11,7 +11,9 @@ This is the greedy median-split variant:
 - continuous attributes split at the median into two sub-intervals (cut
   points need not align with the VGH — the output intervals are arbitrary);
 - categorical attributes split along their VGH children (the standard
-  hierarchy-respecting variant for unordered domains);
+  hierarchy-respecting variant for unordered domains), read from the same
+  ancestor-code tables the top-down anonymizers use
+  (:mod:`repro.anonymize.encoding`); so do prefix attributes;
 - at every step the partition is split on the allowable attribute with the
   widest normalized range, until no allowable split keeps every side at
   size >= k.
@@ -21,12 +23,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.anonymize.base import (
     Anonymizer,
     EquivalenceClass,
     GeneralizedRelation,
 )
-from repro.anonymize.topdown import ChildLookup
+from repro.anonymize.encoding import AncestorCodes, first_appearance
 from repro.data.schema import Relation
 from repro.data.vgh import CategoricalHierarchy, Interval, IntervalHierarchy
 
@@ -44,17 +48,23 @@ class Mondrian(Anonymizer):
         columns = [
             [record[position] for record in relation] for position in positions
         ]
-        lookups = [
-            ChildLookup(hierarchy, specialize_points=False)
-            for hierarchy in hierarchy_list
+        encoded = [
+            None
+            if isinstance(hierarchy, IntervalHierarchy)
+            else AncestorCodes(hierarchy, column, specialize_points=False)
+            for hierarchy, column in zip(hierarchy_list, columns)
         ]
         root_sequence = [hierarchy.root for hierarchy in hierarchy_list]
-        stack = [(list(range(len(relation))), list(root_sequence))]
+        # A partition: record indices, sequence, and per attribute the
+        # depth of its node (read only for encoded attributes).
+        stack = [
+            (list(range(len(relation))), list(root_sequence), [0] * len(qids))
+        ]
         classes: list[EquivalenceClass] = []
         while stack:
-            indices, sequence = stack.pop()
+            indices, sequence, levels = stack.pop()
             split = self._best_split(
-                indices, sequence, columns, hierarchy_list, lookups, k
+                indices, sequence, levels, columns, hierarchy_list, encoded, k
             )
             if split is None:
                 classes.append(
@@ -65,17 +75,21 @@ class Mondrian(Anonymizer):
                 )
                 continue
             attr_position, groups = split
+            child_levels = list(levels)
+            child_levels[attr_position] += 1
             for node, group in groups.items():
                 child_sequence = list(sequence)
                 child_sequence[attr_position] = node
-                stack.append((group, child_sequence))
+                stack.append((group, child_sequence, child_levels))
         classes.sort(key=lambda eq_class: eq_class.indices)
         return GeneralizedRelation(
             relation, qids, {name: self.hierarchies[name] for name in qids},
             classes, k=k,
         )
 
-    def _best_split(self, indices, sequence, columns, hierarchies, lookups, k):
+    def _best_split(
+        self, indices, sequence, levels, columns, hierarchies, encoded, k
+    ):
         """Choose the widest-spread attribute with a valid cut."""
         scored = []
         for attr_position, hierarchy in enumerate(hierarchies):
@@ -89,10 +103,11 @@ class Mondrian(Anonymizer):
                 continue
             groups = self._cut(
                 sequence[attr_position],
+                levels[attr_position],
                 indices,
                 columns[attr_position],
                 hierarchies[attr_position],
-                lookups[attr_position],
+                encoded[attr_position],
                 k,
             )
             if groups is not None:
@@ -113,7 +128,7 @@ class Mondrian(Anonymizer):
         return len(distinct) / max(len(indices), 1)
 
     @staticmethod
-    def _cut(node, indices, column, hierarchy, lookup, k):
+    def _cut(node, level, indices, column, hierarchy, codes, k):
         """Return a valid split of *indices*, or ``None``."""
         if isinstance(hierarchy, IntervalHierarchy):
             interval = node if isinstance(node, Interval) else hierarchy.root
@@ -134,12 +149,17 @@ class Mondrian(Anonymizer):
             if any(len(group) < k for group in groups.values()):
                 return None
             return groups
-        groups = lookup.split(node, list(indices), column)
-        if groups is None:
+        positions = np.asarray(indices)
+        child = codes.children(level, positions)
+        if child is None:
             return None
-        if any(len(group) < k for group in groups.values()):
+        counts = np.bincount(child)
+        if counts[counts > 0].min() < k:
             return None
-        return groups
+        return {
+            codes.nodes[level + 1][code]: positions[child == code].tolist()
+            for code in first_appearance(child, counts)
+        }
 
     @staticmethod
     def _tighten(sequence, indices, columns, hierarchies):

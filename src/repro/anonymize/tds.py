@@ -15,10 +15,13 @@ entropy rather than maximizing the number of distinct sequences.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Sequence
 
+import numpy as np
+
+from repro.anonymize.encoding import encode_values, first_appearance
+from repro.anonymize.maxent import branch_entropy
 from repro.anonymize.topdown import TopDownSpecializer
 from repro.data.schema import Relation
 from repro.errors import AnonymizationError
@@ -28,15 +31,17 @@ _GAIN_EPSILON = 1e-12
 
 
 def class_entropy(labels: Sequence) -> float:
-    """Shannon entropy (bits) of a class-label multiset."""
-    total = len(labels)
-    if total == 0:
-        return 0.0
-    entropy = 0.0
-    for count in Counter(labels).values():
-        probability = count / total
-        entropy -= probability * math.log2(probability)
-    return entropy
+    """Shannon entropy (bits) of a class-label multiset.
+
+    Label counts are summed in the order the labels first appear.
+    """
+    return branch_entropy(list(Counter(labels).values()))
+
+
+def _coded_entropy(labels: np.ndarray) -> float:
+    """:func:`class_entropy` of integer label codes."""
+    counts = np.bincount(labels)
+    return branch_entropy(counts[first_appearance(labels, counts)].tolist())
 
 
 class TDS(TopDownSpecializer):
@@ -56,7 +61,7 @@ class TDS(TopDownSpecializer):
     ):
         super().__init__(hierarchies, **kwargs)
         self.class_attribute = class_attribute
-        self._labels: list = []
+        self._labels = np.empty(0, dtype=np.intp)
 
     def _prepare(self, relation: Relation, qids) -> None:
         if self.class_attribute not in relation.schema:
@@ -64,21 +69,19 @@ class TDS(TopDownSpecializer):
                 f"TDS needs class attribute {self.class_attribute!r} in the relation"
             )
         position = relation.schema.position(self.class_attribute)
-        self._labels = [record[position] for record in relation]
+        self._labels, _ = encode_values([record[position] for record in relation])
 
-    def _score(self, attr_position, indices, groups):
+    def _score(self, indices, child, order, sizes):
         """Information gain of the split; ``None`` when not beneficial."""
-        labels = self._labels
-        parent_entropy = class_entropy([labels[index] for index in indices])
+        labels = self._labels[indices]
+        parent_entropy = _coded_entropy(labels)
         if parent_entropy == 0.0:
             return None
         total = len(indices)
         children_entropy = 0.0
-        for group in groups.values():
-            weight = len(group) / total
-            children_entropy += weight * class_entropy(
-                [labels[index] for index in group]
-            )
+        for code, size in zip(order, sizes):
+            weight = size / total
+            children_entropy += weight * _coded_entropy(labels[child == code])
         gain = parent_entropy - children_entropy
         if gain <= _GAIN_EPSILON:
             return None

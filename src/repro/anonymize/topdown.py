@@ -16,6 +16,16 @@ means and how candidates are scored:
 Subclasses implement :meth:`_score`, returning ``None`` for non-beneficial
 candidates.
 
+Splits run over the encoded hierarchies of :mod:`repro.anonymize.encoding`:
+each QID column is encoded once into per-record ancestor codes, a partition
+is its ascending record indices plus the depth of its node per attribute,
+and a candidate split gathers the next depth's codes for those indices.
+Validity, l-diversity and the entropy scores need only group sizes, taken
+with ``np.bincount``; index groups are built only for the winning split.
+Groups are scored in the order their codes first appear among the
+partition's indices, because the scores sum floats in that order and ties
+go to the first candidate.
+
 Because sibling partitions always differ in the attribute that split them,
 the leaf partitions of the recursion are exactly the equivalence classes of
 the output and all carry distinct sequences.
@@ -26,24 +36,26 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.anonymize.base import (
     Anonymizer,
     EquivalenceClass,
     GeneralizedRelation,
-    Hierarchy,
 )
+from repro.anonymize.encoding import AncestorCodes, encode_values, first_appearance
 from repro.data.schema import Relation
 from repro.data.strings import PrefixHierarchy
-from repro.data.vgh import CategoricalHierarchy, Interval, IntervalHierarchy
+from repro.data.vgh import CategoricalHierarchy
 from repro.errors import AnonymizationError
 
 
 @dataclass
 class _Partition:
-    """A group of record indices sharing a (mutable) sequence."""
+    """Ascending record indices sharing one node depth per attribute."""
 
-    indices: list[int]
-    sequence: list
+    indices: np.ndarray
+    levels: list[int]
 
 
 class TopDownSpecializer(Anonymizer):
@@ -80,7 +92,8 @@ class TopDownSpecializer(Anonymizer):
             raise AnonymizationError("diversity must be at least 1")
         self.diversity = diversity
         self.sensitive_attribute = sensitive_attribute
-        self._sensitive_column: list = []
+        self._sensitive_codes = np.empty(0, dtype=np.intp)
+        self._sensitive_width = 0
 
     def anonymize(
         self, relation: Relation, qids: Sequence[str], k: int
@@ -91,7 +104,7 @@ class TopDownSpecializer(Anonymizer):
         hierarchy_list = [self.hierarchies[name] for name in qids]
         # Raw per-record values in QID order; categorical values must be
         # hierarchy leaves.
-        columns = []
+        encoded = []
         for name, position, hierarchy in zip(qids, positions, hierarchy_list):
             column = [record[position] for record in relation]
             if isinstance(hierarchy, CategoricalHierarchy):
@@ -107,11 +120,11 @@ class TopDownSpecializer(Anonymizer):
                             f"value {value!r} of {name!r} exceeds the prefix "
                             f"hierarchy's maximum length"
                         )
-            columns.append(column)
-        child_lookup = [
-            ChildLookup(hierarchy, self.specialize_points)
-            for hierarchy in hierarchy_list
-        ]
+            encoded.append(
+                AncestorCodes(
+                    hierarchy, column, specialize_points=self.specialize_points
+                )
+            )
         if self.diversity > 1:
             if self.sensitive_attribute not in relation.schema:
                 raise AnonymizationError(
@@ -120,156 +133,92 @@ class TopDownSpecializer(Anonymizer):
             sensitive_position = relation.schema.position(
                 self.sensitive_attribute
             )
-            self._sensitive_column = [
-                record[sensitive_position] for record in relation
-            ]
-            root_diversity = len(set(self._sensitive_column))
-            if root_diversity < self.diversity:
+            self._sensitive_codes, values = encode_values(
+                [record[sensitive_position] for record in relation]
+            )
+            self._sensitive_width = len(values)
+            if len(values) < self.diversity:
                 raise AnonymizationError(
-                    f"the relation only has {root_diversity} distinct "
+                    f"the relation only has {len(values)} distinct "
                     f"{self.sensitive_attribute!r} values; l="
                     f"{self.diversity} is unattainable"
                 )
         self._prepare(relation, qids)
-        root_sequence = [hierarchy.root for hierarchy in hierarchy_list]
-        stack = [_Partition(list(range(len(relation))), list(root_sequence))]
+        stack = [_Partition(np.arange(len(relation)), [0] * len(encoded))]
         classes: list[EquivalenceClass] = []
         while stack:
             partition = stack.pop()
-            best = self._best_split(partition, columns, child_lookup, k)
+            best = self._best_split(partition, encoded, k)
             if best is None:
+                first = partition.indices[0]
+                sequence = tuple(
+                    codes.node(level, first)
+                    for codes, level in zip(encoded, partition.levels)
+                )
                 classes.append(
-                    EquivalenceClass(
-                        tuple(partition.sequence), tuple(partition.indices)
-                    )
+                    EquivalenceClass(sequence, tuple(partition.indices.tolist()))
                 )
                 continue
-            attr_position, groups = best
-            for child_node, indices in groups.items():
-                child_sequence = list(partition.sequence)
-                child_sequence[attr_position] = child_node
-                stack.append(_Partition(indices, child_sequence))
+            attr_position, child, order = best
+            levels = list(partition.levels)
+            levels[attr_position] += 1
+            for code in order:
+                stack.append(_Partition(partition.indices[child == code], levels))
         classes.sort(key=lambda eq_class: eq_class.indices)
         return GeneralizedRelation(
             relation, qids, {name: self.hierarchies[name] for name in qids},
             classes, k=k,
         )
 
-    def _best_split(self, partition, columns, child_lookup, k):
+    def _best_split(self, partition, encoded, k):
+        """The best valid, beneficial split, as ``(attribute, child, order)``."""
+        indices = partition.indices
         best_score = None
         best = None
-        for attr_position, lookup in enumerate(child_lookup):
-            groups = lookup.split(
-                partition.sequence[attr_position],
-                partition.indices,
-                columns[attr_position],
-            )
-            if groups is None:
+        for attr_position, codes in enumerate(encoded):
+            child = codes.children(partition.levels[attr_position], indices)
+            if child is None:
                 continue
-            if any(len(indices) < k for indices in groups.values()):
+            counts = np.bincount(child)
+            if counts[counts > 0].min() < k:
                 continue
-            if not self._diverse_enough(groups):
+            if not self._diverse_enough(indices, child, counts):
                 continue
-            score = self._score(attr_position, partition.indices, groups)
+            order = first_appearance(child, counts)
+            score = self._score(indices, child, order, counts[order].tolist())
             if score is None:
                 continue
             if best_score is None or score > best_score:
                 best_score = score
-                best = (attr_position, groups)
+                best = (attr_position, child, order)
         return best
 
-    def _diverse_enough(self, groups: dict) -> bool:
+    def _diverse_enough(self, indices, child, counts) -> bool:
         """l-diversity validity: each child keeps >= l sensitive values."""
         if self.diversity <= 1:
             return True
-        sensitive = self._sensitive_column
-        for indices in groups.values():
-            values = {sensitive[index] for index in indices}
-            if len(values) < self.diversity:
-                return False
-        return True
+        width = self._sensitive_width
+        seen = np.bincount(
+            child.astype(np.intp) * width + self._sensitive_codes[indices],
+            minlength=counts.size * width,
+        )
+        distinct = np.count_nonzero(seen.reshape(counts.size, width), axis=1)
+        return bool(distinct[counts > 0].min() >= self.diversity)
 
     def _prepare(self, relation: Relation, qids: Sequence[str]) -> None:
         """Hook for subclasses that need per-run precomputation."""
 
     def _score(
         self,
-        attr_position: int,
-        indices: list[int],
-        groups: dict,
+        indices: np.ndarray,
+        child: np.ndarray,
+        order: np.ndarray,
+        sizes: list[int],
     ) -> float | None:
-        """Score a candidate specialization; ``None`` = not beneficial."""
-        raise NotImplementedError
+        """Score a candidate specialization; ``None`` = not beneficial.
 
-
-class ChildLookup:
-    """Maps (current node, record value) to the child node under that node."""
-
-    def __init__(self, hierarchy: Hierarchy, specialize_points: bool):
-        self.hierarchy = hierarchy
-        self.specialize_points = specialize_points
-        self._leaf_to_child: dict = {}
-        if isinstance(hierarchy, CategoricalHierarchy):
-            for node in hierarchy.nodes:
-                for child in hierarchy.children_of(node):
-                    for leaf in hierarchy.leaf_set(child):
-                        self._leaf_to_child[(node, leaf)] = child
-
-    def split(self, node, indices: list[int], column) -> dict | None:
-        """Group *indices* by the child of *node* their value falls under.
-
-        Returns ``None`` when *node* cannot be specialized further.
+        *child* holds the child code of each of *indices*; *order* lists
+        the child codes present in first-appearance order and *sizes*
+        their group sizes in that order.
         """
-        hierarchy = self.hierarchy
-        if isinstance(hierarchy, CategoricalHierarchy):
-            if hierarchy.is_leaf(node):
-                return None
-            groups: dict = {}
-            lookup = self._leaf_to_child
-            for index in indices:
-                child = lookup[(node, column[index])]
-                groups.setdefault(child, []).append(index)
-            return groups
-        if isinstance(hierarchy, PrefixHierarchy):
-            if hierarchy.is_leaf(node):
-                return None
-            groups = {}
-            for index in indices:
-                child = hierarchy.child_for(node, column[index])
-                groups.setdefault(child, []).append(index)
-            return groups
-        # Continuous attribute.
-        if isinstance(node, Interval) and node.is_point:
-            return None
-        assert isinstance(hierarchy, IntervalHierarchy)
-        children = hierarchy.children_of(node) if hierarchy.is_node(node) else ()
-        if children:
-            groups = {}
-            for index in indices:
-                value = float(column[index])
-                child = self._containing(children, value)
-                groups.setdefault(child, []).append(index)
-            return groups
-        if not self.specialize_points:
-            return None
-        # Leaf interval -> raw point values.
-        groups = {}
-        for index in indices:
-            point = Interval.point(float(column[index]))
-            groups.setdefault(point, []).append(index)
-        if len(groups) == 1 and next(iter(groups)) == node:
-            return None
-        return groups
-
-    @staticmethod
-    def _containing(children: tuple[Interval, ...], value: float) -> Interval:
-        for child in children:
-            if child.contains(value):
-                return child
-        # Domain upper bound: the last child absorbs it.
-        last = max(children, key=lambda interval: interval.hi)
-        if value == last.hi:
-            return last
-        raise AnonymizationError(
-            f"value {value!r} not covered by child intervals {children}"
-        )
+        raise NotImplementedError

@@ -22,8 +22,10 @@ precision honestly.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.anonymize.base import GeneralizedRelation
 from repro.crypto.smc.oracle import CountingPlaintextOracle, SMCOracle
@@ -50,6 +52,7 @@ __all__ = [
     "LinkageResult",
     "OracleFactory",
     "compare_class_pair",
+    "match_keys",
 ]
 
 OracleFactory = Callable[[MatchRule, Schema], SMCOracle]
@@ -108,6 +111,15 @@ class LinkageConfig:
                 f"strategy {self.strategy.name!r} trains on the SMC sample and "
                 "requires the 'random' selection heuristic (paper Section V-B)"
             )
+
+
+def match_keys(pairs: Sequence[tuple[int, int]], width: int) -> np.ndarray:
+    """``left_index * width + right_index`` of each pair, as int64 keys."""
+    return np.fromiter(
+        (left * width + right for left, right in pairs),
+        dtype=np.int64,
+        count=len(pairs),
+    )
 
 
 @dataclass
@@ -184,6 +196,21 @@ class LinkageResult:
                 for right_index in pair.right.indices:
                     yield left_index, right_index
         yield from self.smc_matched_pairs
+
+    def verified_match_keys(self, width: int) -> np.ndarray:
+        """Verified matches as int64 keys ``left_index * width + right_index``.
+
+        *width* must exceed every right index (``|D2|`` does). The keys
+        come unsorted: the SMC hits, then each blocking-M class pair's
+        cross product. Blocking labels each class pair once and SMC only
+        compares pairs of unknown class pairs, so no key repeats.
+        """
+        parts = [match_keys(self.smc_matched_pairs, width)]
+        for pair in self.blocking.matched:
+            left = np.asarray(pair.left.indices, dtype=np.int64) * width
+            right = np.asarray(pair.right.indices, dtype=np.int64)
+            parts.append((left[:, None] + right).ravel())
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def summary(self) -> str:
         """Multi-line human-readable report."""

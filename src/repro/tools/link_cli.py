@@ -29,6 +29,8 @@ import csv
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.anonymize import DataFly, Incognito, MaxEntropyTDS, Mondrian, TDS
 from repro.data.schema import Attribute, Relation, Schema
 from repro.data.strings import PrefixHierarchy
@@ -36,7 +38,7 @@ from repro.data.vgh import CategoricalHierarchy, IntervalHierarchy
 from repro.errors import ReproError
 from repro.linkage.distances import MatchAttribute, MatchRule
 from repro.linkage.heuristics import heuristic_by_name
-from repro.linkage.hybrid import HybridLinkage, LinkageConfig
+from repro.linkage.hybrid import HybridLinkage, LinkageConfig, match_keys
 from repro.obs import NOOP_TELEMETRY, Telemetry
 
 ANONYMIZERS = {
@@ -48,6 +50,39 @@ ANONYMIZERS = {
 }
 
 KINDS = ("continuous", "categorical", "string")
+
+#: Rows formatted per chunk by :func:`write_matches`.
+WRITE_CHUNK = 1 << 16
+
+
+def write_matches(path: str, keys: np.ndarray, width: int) -> int:
+    """Write verified matches as a ``left_index,right_index`` CSV.
+
+    *keys* holds one int64 ``left_index * width + right_index`` per match,
+    each once; it is sorted in place, so rows come out ordered by left and
+    then right index. The bytes equal :mod:`csv`'s default writer
+    (CRLF line ends). Rows are formatted in chunks by gathering
+    from a null-padded bytes table of every index's decimal digits and
+    dropping the padding. Returns the number of rows written.
+    """
+    keys.sort()
+    with open(path, "wb") as handle:
+        handle.write(b"left_index,right_index\r\n")
+        if not keys.size:
+            return 0
+        largest = max(int(keys[-1]) // width, width - 1)
+        size = len(str(largest))
+        digits = np.arange(largest + 1).astype(f"S{size}")
+        digits = digits.view(np.uint8).reshape(-1, size)
+        for start in range(0, keys.size, WRITE_CHUNK):
+            left, right = np.divmod(keys[start : start + WRITE_CHUNK], width)
+            rows = np.empty((left.size, 2 * size + 3), dtype=np.uint8)
+            rows[:, :size] = digits[left]
+            rows[:, size] = ord(",")
+            rows[:, size + 1 : 2 * size + 1] = digits[right]
+            rows[:, -2:] = (ord("\r"), ord("\n"))
+            handle.write(rows[rows != 0].tobytes())
+    return int(keys.size)
 
 
 @dataclass(frozen=True)
@@ -246,6 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def record_coverage(telemetry: Telemetry, run) -> None:
+    """Set the ``report.coverage`` gauge for a finished run span.
+
+    It is the summed time of the run span's direct child spans divided by
+    the run span's own time: the share of the run the report accounts for.
+    """
+    if telemetry.enabled and run.duration > 0:
+        covered = sum(child.duration for child in run.children)
+        telemetry.gauge("report.coverage").set(covered / run.duration)
+
+
 def run_remote(args, parser: argparse.ArgumentParser) -> int:
     """The ``--remote`` path: drive repro-party holders over the network."""
     from repro.data.vgh_io import load_catalog
@@ -262,38 +308,41 @@ def run_remote(args, parser: argparse.ArgumentParser) -> int:
     specs = {spec.name: spec for spec in args.attrs}
     telemetry = Telemetry() if args.metrics_out else NOOP_TELEMETRY
     try:
-        parties = parse_remote_spec(args.remote)
-        catalog = load_catalog(args.hierarchies)
-        missing = [name for name in specs if name not in catalog]
-        if missing:
-            raise ReproError(
-                f"hierarchy catalog {args.hierarchies} does not cover {missing}"
+        with telemetry.span("repro-link", mode="remote") as run:
+            parties = parse_remote_spec(args.remote)
+            with telemetry.span("hierarchies"):
+                catalog = load_catalog(args.hierarchies)
+            missing = [name for name in specs if name not in catalog]
+            if missing:
+                raise ReproError(
+                    f"hierarchy catalog {args.hierarchies} does not cover {missing}"
+                )
+            rule = MatchRule(
+                MatchAttribute(spec.name, catalog[spec.name], spec.theta)
+                for spec in args.attrs
             )
-        rule = MatchRule(
-            MatchAttribute(spec.name, catalog[spec.name], spec.theta)
-            for spec in args.attrs
-        )
-        client = QueryingPartyClient(
-            rule,
-            parties["alice"],
-            parties["bob"],
-            allowance=args.allowance,
-            heuristic=heuristic_by_name(args.heuristic),
-            telemetry=telemetry,
-        )
-        result = client.run()
+            client = QueryingPartyClient(
+                rule,
+                parties["alice"],
+                parties["bob"],
+                allowance=args.allowance,
+                heuristic=heuristic_by_name(args.heuristic),
+                telemetry=telemetry,
+            )
+            result = client.run()
+            with telemetry.span("write"):
+                print(result.summary())
+                if args.out:
+                    pairs = result.verified_matches
+                    width = max((right for _, right in pairs), default=0) + 1
+                    written = write_matches(
+                        args.out, match_keys(pairs, width), width
+                    )
+                    print(f"wrote {written} verified matches to {args.out}")
     except ReproError as error:
         print(f"repro-link: {error}", file=sys.stderr)
         return 1
-    print(result.summary())
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("left_index", "right_index"))
-            writer.writerows(result.verified_matches)
-        print(
-            f"wrote {len(result.verified_matches)} verified matches to {args.out}"
-        )
+    record_coverage(telemetry, run)
     if args.metrics_out:
         telemetry.write_report(
             args.metrics_out,
@@ -311,7 +360,13 @@ def run_remote(args, parser: argparse.ArgumentParser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    With ``--metrics-out`` the run report's trace has one ``repro-link``
+    root span whose children are ``load``, ``hierarchies``, ``anonymize``,
+    ``linkage.run`` and ``write`` (summary and CSV), plus the
+    ``report.coverage`` gauge (see :func:`record_coverage`).
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.remote:
@@ -319,58 +374,65 @@ def main(argv: list[str] | None = None) -> int:
     if not args.left or not args.right:
         parser.error("two CSV files are required (or use --remote)")
     specs = {spec.name: spec for spec in args.attrs}
+    telemetry = (
+        Telemetry() if (args.metrics_out or args.progress) else NOOP_TELEMETRY
+    )
     try:
-        left = load_csv(args.left, specs)
-        right = load_csv(args.right, specs)
-        if left.schema != right.schema:
-            raise ReproError("the two CSV files have different headers")
-        for name in specs:
-            if name not in left.schema:
-                raise ReproError(f"attribute {name!r} not found in the CSV header")
-        provided = None
-        if args.hierarchies:
-            from repro.data.vgh_io import load_catalog
+        with telemetry.span("repro-link", mode="local") as run:
+            with telemetry.span("load"):
+                left = load_csv(args.left, specs)
+                right = load_csv(args.right, specs)
+                if left.schema != right.schema:
+                    raise ReproError("the two CSV files have different headers")
+                for name in specs:
+                    if name not in left.schema:
+                        raise ReproError(
+                            f"attribute {name!r} not found in the CSV header"
+                        )
+            with telemetry.span("hierarchies"):
+                provided = None
+                if args.hierarchies:
+                    from repro.data.vgh_io import load_catalog
 
-            provided = load_catalog(args.hierarchies)
-        hierarchies = build_hierarchies(args.attrs, left, right, provided)
-        rule = MatchRule(
-            MatchAttribute(spec.name, hierarchies[spec.name], spec.theta)
-            for spec in args.attrs
-        )
-        telemetry = (
-            Telemetry() if (args.metrics_out or args.progress) else NOOP_TELEMETRY
-        )
-        if args.progress:
-            from repro.obs import ProgressRenderer
-
-            telemetry.progress = ProgressRenderer()
-        anonymizer = ANONYMIZERS[args.anonymizer](hierarchies)
-        qids = tuple(spec.name for spec in args.attrs)
-        try:
-            with telemetry.span("anonymize", algorithm=args.anonymizer, k=args.k):
-                left_gen = anonymizer.anonymize(left, qids, args.k)
-                right_gen = anonymizer.anonymize(right, qids, args.k)
-            config = LinkageConfig(
-                rule,
-                allowance=args.allowance,
-                heuristic=heuristic_by_name(args.heuristic),
-                engine=args.engine,
-                telemetry=telemetry,
+                    provided = load_catalog(args.hierarchies)
+                hierarchies = build_hierarchies(args.attrs, left, right, provided)
+            rule = MatchRule(
+                MatchAttribute(spec.name, hierarchies[spec.name], spec.theta)
+                for spec in args.attrs
             )
-            result = HybridLinkage(config).run(left_gen, right_gen)
-        finally:
-            telemetry.progress.close()
+            if args.progress:
+                from repro.obs import ProgressRenderer
+
+                telemetry.progress = ProgressRenderer()
+            anonymizer = ANONYMIZERS[args.anonymizer](hierarchies)
+            qids = tuple(spec.name for spec in args.attrs)
+            try:
+                with telemetry.span(
+                    "anonymize", algorithm=args.anonymizer, k=args.k
+                ):
+                    left_gen = anonymizer.anonymize(left, qids, args.k)
+                    right_gen = anonymizer.anonymize(right, qids, args.k)
+                config = LinkageConfig(
+                    rule,
+                    allowance=args.allowance,
+                    heuristic=heuristic_by_name(args.heuristic),
+                    engine=args.engine,
+                    telemetry=telemetry,
+                )
+                result = HybridLinkage(config).run(left_gen, right_gen)
+            finally:
+                telemetry.progress.close()
+            with telemetry.span("write"):
+                print(result.summary())
+                if args.out:
+                    written = write_matches(
+                        args.out, result.verified_match_keys(len(right)), len(right)
+                    )
+                    print(f"wrote {written} verified matches to {args.out}")
     except ReproError as error:
         print(f"repro-link: {error}", file=sys.stderr)
         return 1
-    print(result.summary())
-    if args.out:
-        matches = sorted(set(result.iter_verified_matches()))
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("left_index", "right_index"))
-            writer.writerows(matches)
-        print(f"wrote {len(matches)} verified matches to {args.out}")
+    record_coverage(telemetry, run)
     if args.metrics_out:
         telemetry.write_report(
             args.metrics_out,

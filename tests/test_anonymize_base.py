@@ -77,6 +77,50 @@ class TestGeneralizedRelation:
                 relation, ("education", "work_hrs"), hierarchies, classes, k=1
             )
 
+    @pytest.mark.parametrize(
+        "indices, suppressed",
+        [
+            pytest.param([(0, 1), (2,)], (), id="missing-record"),
+            pytest.param([(0, 1), (2, 3, 4)], (), id="past-the-end"),
+            pytest.param([(0, 1), (2, 3, -1)], (), id="negative"),
+            pytest.param([(0, 1, 1), (2,)], (), id="missing-and-repeated"),
+            pytest.param([(0, 1)], (2,), id="missing-beside-suppressed"),
+        ],
+    )
+    def test_cover_error_message(self, relation, hierarchies, indices, suppressed):
+        classes = [EquivalenceClass(("ANY", Interval(1, 99)), ids) for ids in indices]
+        with pytest.raises(AnonymizationError, match="do not exactly cover"):
+            GeneralizedRelation(
+                relation, ("education", "work_hrs"), hierarchies, classes,
+                k=1, suppressed=suppressed,
+            )
+
+    @pytest.mark.parametrize(
+        "indices, suppressed",
+        [
+            pytest.param([(0, 1, 2, 3), (3,)], (), id="two-classes"),
+            pytest.param([(0, 1, 2, 2, 3)], (), id="one-class"),
+            pytest.param([(0, 1, 2, 3)], (1,), id="class-and-suppressed"),
+        ],
+    )
+    def test_double_cover_error_message(
+        self, relation, hierarchies, indices, suppressed
+    ):
+        classes = [EquivalenceClass(("ANY", Interval(1, 99)), ids) for ids in indices]
+        with pytest.raises(AnonymizationError, match="appears in two"):
+            GeneralizedRelation(
+                relation, ("education", "work_hrs"), hierarchies, classes,
+                k=1, suppressed=suppressed,
+            )
+
+    def test_suppressed_records_complete_the_cover(self, relation, hierarchies):
+        classes = [EquivalenceClass(("ANY", Interval(1, 99)), (0, 2, 3))]
+        generalized = GeneralizedRelation(
+            relation, ("education", "work_hrs"), hierarchies, classes,
+            k=1, suppressed=(1,),
+        )
+        assert generalized.suppressed == (1,)
+
     def test_sequence_for(self, relation, hierarchies):
         generalized = identity_generalization(
             relation, ("education", "work_hrs"), hierarchies

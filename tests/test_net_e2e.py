@@ -188,6 +188,55 @@ class TestRemoteReport:
         assert result.outcome == reference[0]
 
 
+class TestRemoteCli:
+    def test_remote_csv_equals_local_csv(
+        self, net_fixture, live_servers, tmp_path, capsys
+    ):
+        """``repro-link --remote`` and a local run write the same bytes."""
+        from repro.data.vgh_io import save_catalog
+        from repro.tools.link_cli import main
+
+        catalog, _, pair = net_fixture
+        alice, bob = live_servers
+        pair.left.write_csv(str(tmp_path / "alice.csv"))
+        pair.right.write_csv(str(tmp_path / "bob.csv"))
+        save_catalog(
+            {name: catalog[name] for name in QIDS}, str(tmp_path / "catalog.json")
+        )
+        options = [
+            "--attr", "age=continuous:0.05",
+            *(
+                argument
+                for name in QIDS[1:]
+                for argument in ("--attr", f"{name}=categorical:0.05")
+            ),
+            "--hierarchies", str(tmp_path / "catalog.json"),
+            "--allowance", str(ALLOWANCE),
+        ]
+        remote = [
+            "--remote",
+            f"alice={alice.host}:{alice.port},bob={bob.host}:{bob.port}",
+            "--out", str(tmp_path / "remote.csv"),
+            "--metrics-out", str(tmp_path / "remote.json"),
+        ]
+        local = [
+            str(tmp_path / "alice.csv"), str(tmp_path / "bob.csv"),
+            "--k", str(K), "--out", str(tmp_path / "local.csv"),
+        ]
+        assert main(options + remote) == 0
+        assert main(options + local) == 0
+        capsys.readouterr()
+        written = (tmp_path / "remote.csv").read_bytes()
+        assert written.count(b"\r\n") > 1
+        assert written == (tmp_path / "local.csv").read_bytes()
+        report = json.loads((tmp_path / "remote.json").read_text())
+        (run,) = report["trace"]
+        assert [span["name"] for span in run["children"]] == [
+            "hierarchies", "net.linkage", "write",
+        ]
+        assert 0.0 < report["metrics"]["gauges"]["report.coverage"] <= 1.0
+
+
 class TestChannelEstimate:
     def test_paillier_oracle_reports_estimate_beside_measured_bytes(
         self, runtime, net_fixture, reference
