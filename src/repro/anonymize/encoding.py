@@ -93,6 +93,33 @@ def encode_values(column: Sequence) -> tuple[np.ndarray, list]:
     return codes, list(mapping)
 
 
+def check_raw_values(name: str, hierarchy, column: Sequence) -> None:
+    """Raise :class:`AnonymizationError` unless *column* holds raw values only.
+
+    Categorical values must be leaves of their VGH. Prefix values must be
+    concrete strings within the length bound: a raw ``"a*"`` would be
+    published as the pattern "any string starting with a".
+    """
+    if isinstance(hierarchy, CategoricalHierarchy):
+        for value in set(column):
+            if not hierarchy.is_leaf(value):
+                raise AnonymizationError(
+                    f"value {value!r} of {name!r} is not a leaf of its VGH"
+                )
+    elif isinstance(hierarchy, PrefixHierarchy):
+        for value in set(column):
+            if is_pattern(value):
+                raise AnonymizationError(
+                    f"value {value!r} of {name!r} ends with the wildcard "
+                    f"{WILDCARD!r}, which marks a generalized prefix pattern"
+                )
+            if not hierarchy.is_node(value):
+                raise AnonymizationError(
+                    f"value {value!r} of {name!r} exceeds the prefix "
+                    f"hierarchy's maximum length"
+                )
+
+
 def first_appearance(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The codes present in *codes*, in the order they first appear.
 
@@ -114,8 +141,8 @@ class AncestorCodes:
     hierarchy:
         The column's hierarchy.
     column:
-        Raw per-record values; categorical values must be hierarchy leaves
-        and prefix values hierarchy nodes (the anonymizers check both).
+        Raw per-record values, as :func:`check_raw_values` accepts them
+        (the anonymizers call it first).
     specialize_points:
         Whether a leaf interval may split into the raw point values.
     """

@@ -30,7 +30,11 @@ from repro.anonymize.base import (
     EquivalenceClass,
     GeneralizedRelation,
 )
-from repro.anonymize.encoding import AncestorCodes, first_appearance
+from repro.anonymize.encoding import (
+    AncestorCodes,
+    check_raw_values,
+    first_appearance,
+)
 from repro.data.schema import Relation
 from repro.data.vgh import CategoricalHierarchy, Interval, IntervalHierarchy
 
@@ -48,6 +52,8 @@ class Mondrian(Anonymizer):
         columns = [
             [record[position] for record in relation] for position in positions
         ]
+        for name, hierarchy, column in zip(qids, hierarchy_list, columns):
+            check_raw_values(name, hierarchy, column)
         encoded = [
             None
             if isinstance(hierarchy, IntervalHierarchy)

@@ -43,10 +43,13 @@ from repro.anonymize.base import (
     EquivalenceClass,
     GeneralizedRelation,
 )
-from repro.anonymize.encoding import AncestorCodes, encode_values, first_appearance
+from repro.anonymize.encoding import (
+    AncestorCodes,
+    check_raw_values,
+    encode_values,
+    first_appearance,
+)
 from repro.data.schema import Relation
-from repro.data.strings import PrefixHierarchy
-from repro.data.vgh import CategoricalHierarchy
 from repro.errors import AnonymizationError
 
 
@@ -102,24 +105,10 @@ class TopDownSpecializer(Anonymizer):
         self._check_arguments(relation, qids, k)
         positions = relation.schema.positions(qids)
         hierarchy_list = [self.hierarchies[name] for name in qids]
-        # Raw per-record values in QID order; categorical values must be
-        # hierarchy leaves.
         encoded = []
         for name, position, hierarchy in zip(qids, positions, hierarchy_list):
             column = [record[position] for record in relation]
-            if isinstance(hierarchy, CategoricalHierarchy):
-                for value in set(column):
-                    if not hierarchy.is_leaf(value):
-                        raise AnonymizationError(
-                            f"value {value!r} of {name!r} is not a leaf of its VGH"
-                        )
-            elif isinstance(hierarchy, PrefixHierarchy):
-                for value in set(column):
-                    if not hierarchy.is_node(value):
-                        raise AnonymizationError(
-                            f"value {value!r} of {name!r} exceeds the prefix "
-                            f"hierarchy's maximum length"
-                        )
+            check_raw_values(name, hierarchy, column)
             encoded.append(
                 AncestorCodes(
                     hierarchy, column, specialize_points=self.specialize_points

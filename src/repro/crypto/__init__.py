@@ -1,5 +1,8 @@
 """Cryptographic substrate, implemented from scratch.
 
+- :mod:`repro.crypto.modexp` — modular exponentiation through libgmp
+  (``ctypes``), falling back to the built-in ``pow`` with identical
+  results;
 - :mod:`repro.crypto.primes` — Miller–Rabin primality testing and prime
   generation;
 - :mod:`repro.crypto.paillier` — the Paillier homomorphic cryptosystem

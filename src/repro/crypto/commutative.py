@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from repro.crypto.modexp import powmod, powmod_secret
 from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.errors import CryptoError
 
@@ -65,12 +66,12 @@ class CommutativeKey:
         """Encrypt a group element (commutes with other keys' encrypt)."""
         if not 1 <= element < self.prime:
             raise CryptoError("element outside the group")
-        return pow(element, self.exponent, self.prime)
+        return powmod_secret(element, self.exponent, self.prime)
 
     def decrypt(self, element: int) -> int:
         """Invert :meth:`encrypt` using the inverse exponent."""
         inverse = pow(self.exponent, -1, self.prime - 1)
-        return pow(element, inverse, self.prime)
+        return powmod_secret(element, inverse, self.prime)
 
     def hash_encrypt(self, value) -> int:
         """Hash an arbitrary value into the group, then encrypt."""
@@ -87,7 +88,7 @@ def hash_to_group(value, prime: int) -> int:
     element = int.from_bytes(digest, "big") % prime
     if element == 0:
         element = 1
-    return pow(element, 2, prime)
+    return powmod(element, 2, prime)
 
 
 def private_equality_join(

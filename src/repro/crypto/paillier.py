@@ -11,8 +11,14 @@ Implementation notes:
 - the generator is fixed to ``g = n + 1``, the standard simplification:
   ``g^m = 1 + m*n (mod n^2)`` makes encryption one multiplication plus the
   ``r^n`` blinding term;
-- decryption uses the CRT-free textbook form ``m = L(c^λ mod n²) · μ mod n``
-  with ``L(u) = (u - 1) / n``;
+- decryption uses the CRT when the key holds ``p`` and ``q`` (two
+  half-size exponentiations mod ``p²`` and ``q²``, recombined with
+  Garner's formula), and otherwise the textbook form
+  ``m = L(c^λ mod n²) · μ mod n`` with ``L(u) = (u - 1) / n``;
+- every modular exponentiation runs through :mod:`repro.crypto.modexp`
+  (libgmp when present, the built-in ``pow`` otherwise, with identical
+  results); the private exponents ``p - 1``, ``q - 1`` and ``λ`` use its
+  constant-time variant;
 - ciphertexts are :class:`EncryptedNumber` objects supporting ``+`` (both
   ciphertext-ciphertext and ciphertext-plaintext) and ``*`` by a plaintext
   scalar, so protocol code reads like arithmetic;
@@ -29,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from repro.crypto.modexp import powmod, powmod_secret
 from repro.crypto.primes import generate_prime
 from repro.errors import CryptoError
 
@@ -80,7 +87,7 @@ class PaillierPublicKey:
         r = self._random_unit(rng)
         # g^m = (n+1)^m = 1 + m*n (mod n^2)
         g_m = (1 + plaintext * self.n) % n_squared
-        ciphertext = (g_m * pow(r, self.n, n_squared)) % n_squared
+        ciphertext = (g_m * powmod(r, self.n, n_squared)) % n_squared
         return EncryptedNumber(self, ciphertext)
 
     def encrypt_signed(
@@ -128,22 +135,22 @@ class PaillierPrivateKey:
             return self._decrypt_crt(encrypted.ciphertext)
         n = self.public_key.n
         n_squared = self.public_key.n_squared
-        u = pow(encrypted.ciphertext, self.lam, n_squared)
+        u = powmod_secret(encrypted.ciphertext, self.lam, n_squared)
         l_of_u = (u - 1) // n
         return (l_of_u * self.mu) % n
 
     def _decrypt_crt(self, ciphertext: int) -> int:
         """CRT decryption: two half-size exponentiations, then recombine.
 
-        The plaintext mod p is ``L_p(c^(p-1) mod p^2) * h_p mod p``
-        (the ``r^n`` blinding term has order dividing p-1·... and
-        vanishes under the exponent), likewise mod q; Garner's formula
-        recombines.
+        The plaintext mod p is ``L_p(c^(p-1) mod p^2) * h_p mod p``,
+        likewise mod q; Garner's formula recombines. The ``r^n`` blinding
+        term vanishes: ``(r^n)^(p-1) = 1 (mod p^2)``, because ``n(p-1)``
+        is a multiple of ``p(p-1)``, the order of the units mod ``p^2``.
         """
         p, q = self.p, self.q
         p_squared, q_squared, h_p, h_q, p_inverse = self._crt
-        m_p = ((pow(ciphertext, p - 1, p_squared) - 1) // p * h_p) % p
-        m_q = ((pow(ciphertext, q - 1, q_squared) - 1) // q * h_q) % q
+        m_p = ((powmod_secret(ciphertext, p - 1, p_squared) - 1) // p * h_p) % p
+        m_q = ((powmod_secret(ciphertext, q - 1, q_squared) - 1) // q * h_q) % q
         # Garner: m = m_p + p * ((m_q - m_p) * p^(-1) mod q).
         return (m_p + p * (((m_q - m_p) * p_inverse) % q)) % self.public_key.n
 
@@ -234,7 +241,7 @@ class EncryptedNumber:
         exponent = scalar % self.public_key.n
         return EncryptedNumber(
             self.public_key,
-            pow(self.ciphertext, exponent, self.public_key.n_squared),
+            powmod(self.ciphertext, exponent, self.public_key.n_squared),
         )
 
     __rmul__ = __mul__
@@ -259,7 +266,8 @@ class EncryptedNumber:
             rng = random.SystemRandom()
         r = self.public_key._random_unit(rng)
         n_squared = self.public_key.n_squared
-        blinded = (self.ciphertext * pow(r, self.public_key.n, n_squared)) % n_squared
+        blinding = powmod(r, self.public_key.n, n_squared)
+        blinded = (self.ciphertext * blinding) % n_squared
         return EncryptedNumber(self.public_key, blinded)
 
     def __repr__(self) -> str:

@@ -4,13 +4,16 @@ Miller–Rabin with the deterministic witness sets that are proven exact for
 64-bit integers, falling back to random witnesses above that range. Prime
 *generation* seeds candidates from a caller-supplied RNG so tests are
 reproducible, but the library defaults to ``secrets``-grade randomness via
-``random.SystemRandom`` when no RNG is given.
+``random.SystemRandom`` when no RNG is given. Each round exponentiates
+with :func:`~repro.crypto.modexp.powmod_secret`, because a candidate that
+passes becomes a secret factor of the modulus.
 """
 
 from __future__ import annotations
 
 import random
 
+from repro.crypto.modexp import powmod_secret
 from repro.errors import CryptoError
 
 # Small primes for cheap trial division before Miller-Rabin.
@@ -30,7 +33,7 @@ MILLER_RABIN_ROUNDS = 40
 
 def _miller_rabin_round(candidate: int, witness: int, odd: int, twos: int) -> bool:
     """One Miller-Rabin round; True when *candidate* passes for *witness*."""
-    x = pow(witness, odd, candidate)
+    x = powmod_secret(witness, odd, candidate)
     if x in (1, candidate - 1):
         return True
     for _ in range(twos - 1):

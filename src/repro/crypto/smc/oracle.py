@@ -29,6 +29,7 @@ import random
 
 import numpy as np
 
+from repro.crypto import modexp
 from repro.crypto.paillier import PaillierKeyPair
 from repro.crypto.smc.channel import SMCSession
 from repro.crypto.smc.comparison import margin_bound, secure_within_threshold
@@ -225,6 +226,10 @@ class PaillierSMCOracle(SMCOracle):
     domain (its hierarchy root) and threshold, so Bob's step reads no
     value of Alice's (a rule attribute decoded from the wire carries that
     bound in its ``domain_bound``).
+
+    With telemetry bound, the gauge ``crypto.modexp_gmp`` is 1 when
+    libgmp runs the exponentiations and 0 when the built-in ``pow`` does
+    (see :mod:`repro.crypto.modexp`).
     """
 
     def __init__(
@@ -248,6 +253,7 @@ class PaillierSMCOracle(SMCOracle):
             rng=rng,
             telemetry=telemetry if telemetry.enabled else None,
         )
+        _record_modexp_backend(telemetry)
         self.hide_distances = hide_distances
         self._margin_bounds = []
         for attribute in rule:
@@ -284,6 +290,7 @@ class PaillierSMCOracle(SMCOracle):
         self.session.transcript.bind_telemetry(
             telemetry if telemetry.enabled else None
         )
+        _record_modexp_backend(telemetry)
 
     def _compare(self, left: Record, right: Record) -> bool:
         if left is not self._alice_record:
@@ -333,3 +340,11 @@ class PaillierSMCOracle(SMCOracle):
                     return False
             # Hamming threshold >= 1 can never be exceeded: no protocol run.
         return True
+
+
+def _record_modexp_backend(telemetry: Telemetry) -> None:
+    """Gauge ``crypto.modexp_gmp``: 1 when libgmp runs the exponentiations.
+
+    A report's ``crypto.*`` times then say which backend produced them.
+    """
+    telemetry.gauge("crypto.modexp_gmp").set(int(modexp.uses_gmp()))

@@ -8,11 +8,11 @@ a name-bearing schema.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.anonymize import MaxEntropyTDS, identity_generalization
+from repro.anonymize import TDS, MaxEntropyTDS, Mondrian, identity_generalization
 from repro.data.schema import Attribute, Relation, Schema
 from repro.data.strings import PrefixHierarchy, is_pattern, pattern_prefix
 from repro.data.vgh import IntervalHierarchy
-from repro.errors import HierarchyError, ProtocolError
+from repro.errors import AnonymizationError, HierarchyError, ProtocolError
 from repro.linkage.distances import MatchAttribute, MatchRule, edit_distance
 from repro.linkage.ground_truth import GroundTruth
 from repro.linkage.hybrid import HybridLinkage, LinkageConfig
@@ -163,6 +163,17 @@ class TestStringAnonymization:
         )
         for eq_class in generalized.classes:
             assert not is_pattern(eq_class.sequence[0])
+
+    @pytest.mark.parametrize("anonymizer", [MaxEntropyTDS, TDS, Mondrian])
+    def test_raw_wildcard_value_is_rejected(self, anonymizer):
+        """A raw ``a*`` would be published as the pattern "starts with a"."""
+        relation = Relation(
+            Schema([Attribute.categorical("name")]),
+            [("a*",), ("a*",), ("ab",), ("ab",)],
+        )
+        catalog = {"name": PrefixHierarchy("name", max_length=3)}
+        with pytest.raises(AnonymizationError, match="wildcard"):
+            anonymizer(catalog).anonymize(relation, ("name",), 2)
 
 
 class TestStringPipeline:
